@@ -2,6 +2,7 @@ module Engine = Netsim.Engine
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
 module Identifier = Sidecar_quack.Identifier
+module Invariant = Sidecar_quack.Invariant
 
 type stats = {
   mutable transmissions : int;
@@ -40,6 +41,9 @@ type t = {
   mutable available : int;  (* units eligible for first transmission *)
   mutable next_offset : int;
   mutable next_seq : int;
+  mutable low : int;
+      (* oldest in-flight seq, or [next_seq] when nothing is in flight:
+         no seq below it is in [inflight] *)
   mutable bytes_in_flight : int;
   mutable largest_acked : int;
   mutable recovery_until : int;  (* seqs below this do not trigger a new event *)
@@ -89,6 +93,7 @@ let create engine ?(mss = 1460) ?(header = 40) ?(pkt_threshold = 3)
     available = Option.value initially_available ~default:total_units;
     next_offset = 0;
     next_seq = 0;
+    low = 0;
     bytes_in_flight = 0;
     largest_acked = -1;
     recovery_until = 0;
@@ -127,6 +132,19 @@ let retx_pop t =
 let retx_push t offset = t.retx_queue_back <- offset :: t.retx_queue_back
 
 let retx_pending t = t.retx_queue <> [] || t.retx_queue_back <> []
+
+(* Restore the [low] invariant after removals from [inflight]. Seqs are
+   only ever added at [next_seq], so the cursor only moves forward and
+   each seq is stepped over once in the sender's lifetime. *)
+let advance_low t =
+  while t.low < t.next_seq && not (Hashtbl.mem t.inflight t.low) do
+    t.low <- t.low + 1
+  done;
+  if Invariant.active () then
+    Invariant.check ~name:"sender low cursor is the oldest in-flight seq"
+      (fun () ->
+        Hashtbl.fold (fun seq _ ok -> ok && seq >= t.low) t.inflight
+          (t.low = t.next_seq || Hashtbl.mem t.inflight t.low))
 
 (* Re-queue provisionally-acked units whose e2e confirmation never
    arrived. *)
@@ -168,18 +186,11 @@ and on_pto t gen =
     t.pto_count <- t.pto_count + 1;
     (* Declare the oldest in-flight packet lost and probe with its
        unit; persistent timeouts collapse the window. *)
-    let oldest =
-      Hashtbl.fold
-        (fun _ p acc ->
-          match acc with
-          | None -> Some p
-          | Some q -> if p.seq < q.seq then Some p else Some q)
-        t.inflight None
-    in
-    (match oldest with
+    (match Hashtbl.find_opt t.inflight t.low with
     | Some p ->
         Hashtbl.remove t.inflight p.seq;
         t.bytes_in_flight <- t.bytes_in_flight - p.size;
+        advance_low t;
         if Bytes.get t.unit_acked p.offset = '\000' then retx_push t p.offset
     | None -> ());
     if t.pto_count >= 2 && not t.external_cc then t.cc.Cc.on_timeout ();
@@ -254,14 +265,23 @@ let detect_losses t =
         9 * max (Rtt.srtt t.rtt) (Rtt.latest t.rtt) / 8
       else max_int
     in
+    let is_lost seq p =
+      seq < threshold
+      || (seq < t.largest_acked && Time.diff now p.sent_at > age_limit)
+    in
+    (* [sent_at] never decreases as seq grows, so [is_lost] holds on a
+       prefix of the in-flight seqs: when the oldest is not lost,
+       nothing is. *)
+    let any_lost =
+      match Hashtbl.find_opt t.inflight t.low with
+      | Some p -> is_lost t.low p
+      | None -> false
+    in
+    (* The table walk stays for the lost list itself: its order is the
+       retransmission order. *)
     let lost = ref [] in
-    Hashtbl.iter
-      (fun seq p ->
-        if
-          seq < threshold
-          || (seq < t.largest_acked && Time.diff now p.sent_at > age_limit)
-        then lost := p :: !lost)
-      t.inflight;
+    if any_lost then
+      Hashtbl.iter (fun seq p -> if is_lost seq p then lost := p :: !lost) t.inflight;
     let new_event = ref false in
     List.iter
       (fun p ->
@@ -270,6 +290,7 @@ let detect_losses t =
         if Bytes.get t.unit_acked p.offset = '\000' then retx_push t p.offset;
         if p.seq >= t.recovery_until then new_event := true)
       !lost;
+    if any_lost then advance_low t;
     if !new_event then begin
       t.recovery_until <- t.next_seq;
       t.stats.congestion_events <- t.stats.congestion_events + 1;
@@ -286,22 +307,27 @@ let deliver_ack t (p : Packet.t) =
       t.acked_units <- max t.acked_units acked_units;
       let newly_acked = ref 0 in
       let rtt_sample = ref None in
-      (* Iterate the (window-bounded) in-flight set rather than the
-         ranges, whose oldest interval grows with the whole transfer. *)
-      let covered seq = List.exists (fun (lo, hi) -> seq >= lo && seq <= hi) ranges in
-      let acked =
-        Hashtbl.fold (fun seq fl acc -> if covered seq then fl :: acc else acc)
-          t.inflight []
-      in
+      (* Walk the ranges clipped to the in-flight window [low, next_seq):
+         the oldest interval grows with the whole transfer, the clipped
+         part does not. What happens to an acked packet does not depend
+         on the order packets are visited in. *)
+      let last = t.next_seq - 1 in
       List.iter
-        (fun fl ->
-          Hashtbl.remove t.inflight fl.seq;
-          t.bytes_in_flight <- t.bytes_in_flight - fl.size;
-          newly_acked := !newly_acked + fl.size;
-          mark_unit_acked t fl.offset;
-          if fl.seq = largest && not fl.is_retx then
-            rtt_sample := Some (Time.diff now fl.sent_at))
-        acked;
+        (fun (lo, hi) ->
+          for seq = max lo t.low to min hi last do
+            match Hashtbl.find t.inflight seq with
+            | fl ->
+                Hashtbl.remove t.inflight seq;
+                t.bytes_in_flight <- t.bytes_in_flight - fl.size;
+                newly_acked := !newly_acked + fl.size;
+                mark_unit_acked t fl.offset;
+                if seq = largest && not fl.is_retx then
+                  rtt_sample := Some (Time.diff now fl.sent_at)
+            | exception Not_found -> ()
+          done)
+        ranges;
+      advance_low t;
+      let covered seq = List.exists (fun (lo, hi) -> seq >= lo && seq <= hi) ranges in
       (* Provisionally-released packets (freed by a sidecar quACK) are
          no longer in flight, but their units still need the e2e
          confirmation recorded here. *)
@@ -351,6 +377,7 @@ let sidecar_ack t ~seqs =
           Hashtbl.replace t.provisional fl.seq (fl.offset, Time.add now grace)
       | None -> ())
     seqs;
+  advance_low t;
   if !freed > 0 then try_send t;
   !freed
 
