@@ -437,6 +437,126 @@ let test_sender_external_cc_ignores_e2e_acks () =
   check bool "cwnd moved by external ack" true (Sender.cwnd sender > w0)
 
 (* ------------------------------------------------------------------ *)
+(* Sender ACK bookkeeping: the in-flight cursor                         *)
+
+(* A sender with a fixed window of [window] packets whose egress log
+   records (seq, offset) oldest first; ACKs are handed in directly. *)
+let cursor_sender ?(window = 10) ?(units = 100) e =
+  let log = ref [] in
+  let sender =
+    Sender.create e ~mss:1460
+      ~cc:(Cc.fixed ~cwnd_bytes:(window * 1500))
+      ~total_units:units
+      ~egress:(fun p ->
+        match p.Netsim.Packet.payload with
+        | Frames.Data { offset } -> log := (p.Netsim.Packet.seq, offset) :: !log
+        | _ -> ())
+      ()
+  in
+  (sender, fun () -> List.rev !log)
+
+let ack sender ~largest ranges =
+  Sender.deliver_ack sender
+    (Frames.ack_packet ~uid:0 ~flow:0 ~id:0 ~seq:0 ~size:40 ~largest ~ranges
+       ~acked_units:0 ~now:0)
+
+(* seq -> offset of a fresh transmission is the identity until the
+   first retransmission; offsets sent again are retransmissions *)
+let retransmitted sent =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun (_, offset) ->
+      if Hashtbl.mem seen offset then Some offset
+      else begin
+        Hashtbl.add seen offset ();
+        None
+      end)
+    sent
+
+let test_sender_ack_ranges_clipped () =
+  let e = Netsim.Engine.create () in
+  let sender, sent = cursor_sender e in
+  Sender.start sender;
+  ack sender ~largest:4 [ (0, 4) ];
+  check int "five acked, five more sent" 15 (List.length (sent ()));
+  check int "in flight after the first ack" (10 * 1500) (Sender.bytes_in_flight sender);
+  (* entirely below the cursor, and entirely past next_seq *)
+  ack sender ~largest:4 [ (500, 900); (0, 4) ];
+  check int "nothing newly acked" 5 (Sender.stats sender).Sender.acked_units;
+  check int "nothing sent" 15 (List.length (sent ()));
+  (* one range runs far past next_seq, the other starts below zero and
+     ends below the cursor: only [5, 14] is in flight *)
+  ack sender ~largest:14 [ (5, 1_000_000); (-7, 2) ];
+  check int "ten more acked" 15 (Sender.stats sender).Sender.acked_units;
+  check int "window refilled by ten" 25 (List.length (sent ()));
+  check int "no retransmissions" 0 (Sender.stats sender).Sender.retransmissions
+
+let test_sender_duplicate_and_reordered_acks () =
+  let e = Netsim.Engine.create () in
+  let sender, sent = cursor_sender e in
+  Sender.start sender;
+  (* the newer ACK overtakes the older one, then both repeat *)
+  ack sender ~largest:5 [ (0, 5) ];
+  let after_first = (Sender.bytes_in_flight sender, List.length (sent ())) in
+  ack sender ~largest:3 [ (0, 3) ];
+  ack sender ~largest:5 [ (0, 5) ];
+  ack sender ~largest:3 [ (0, 3) ];
+  check int "six units acked once" 6 (Sender.stats sender).Sender.acked_units;
+  check Alcotest.(pair int int) "stale and duplicate ACKs change nothing" after_first
+    (Sender.bytes_in_flight sender, List.length (sent ()));
+  check int "no loss declared" 0 (Sender.stats sender).Sender.congestion_events
+
+let test_sender_provisional_then_e2e () =
+  (* Units freed by a sidecar quACK are retransmitted after the grace
+     deadline unless an e2e ACK confirms them first. *)
+  let run ~confirm =
+    let e = Netsim.Engine.create () in
+    let sender, sent = cursor_sender ~window:4 ~units:8 e in
+    Sender.start sender;
+    check int "freed two packets" (2 * 1500) (Sender.sidecar_ack sender ~seqs:[ 0; 1 ]);
+    check int "window refilled" 6 (List.length (sent ()));
+    if confirm then begin
+      ack sender ~largest:1 [ (0, 1) ];
+      check int "confirmed units count as acked" 2
+        (Sender.stats sender).Sender.acked_units
+    end;
+    (* no further ACKs: probe timeouts drive the rest *)
+    Netsim.Engine.run ~until:(Time.s 30) e;
+    List.filter (fun o -> o < 2) (retransmitted (sent ()))
+  in
+  check Alcotest.(list int) "confirmed units are never resent" [] (run ~confirm:true);
+  check Alcotest.(list int) "unconfirmed units are resent after the deadline" [ 0; 1 ]
+    (List.sort_uniq compare (run ~confirm:false))
+
+let test_sender_pto_after_partial_acks () =
+  let e = Netsim.Engine.create () in
+  let sender, sent = cursor_sender ~window:6 ~units:6 e in
+  Sender.start sender;
+  (* seqs 0, 1 and 3 arrive; 2, 4 and 5 stay outstanding, too few
+     behind the largest to count as lost *)
+  ack sender ~largest:3 [ (3, 3); (0, 1) ];
+  check int "no loss declared yet" 0 (Sender.stats sender).Sender.congestion_events;
+  Netsim.Engine.run ~until:(Time.s 2) e;
+  check bool "a probe timeout fired" true ((Sender.stats sender).Sender.timeouts > 0);
+  (match retransmitted (sent ()) with
+  | first :: _ -> check int "the oldest unacked unit is probed first" 2 first
+  | [] -> Alcotest.fail "no probe was sent")
+
+(* One ACK declares six packets lost at once. The retransmission order
+   is the in-flight table's iteration order, pinned here as it was
+   before the ACK path stopped scanning the table. *)
+let test_sender_bulk_loss_retransmit_order () =
+  let e = Netsim.Engine.create () in
+  let sender, sent = cursor_sender e in
+  Sender.start sender;
+  ack sender ~largest:9 [ (6, 9) ];
+  check int "one congestion event" 1 (Sender.stats sender).Sender.congestion_events;
+  check Alcotest.(list int) "lost units resent in table order" [ 3; 5; 4; 1; 0; 2 ]
+    (retransmitted (sent ()));
+  check int "six resends and four new units refill the window" 20
+    (List.length (sent ()))
+
+(* ------------------------------------------------------------------ *)
 (* Sealed datapath: whole flows over actual ciphertext                 *)
 
 let run_sealed_flow ?(units = 800) ?(loss = Loss.none) ?(tamper = false) () =
@@ -748,6 +868,16 @@ let () =
           Alcotest.test_case "sidecar_ack frees window" `Quick test_sender_sidecar_ack_frees_window;
           Alcotest.test_case "external cc" `Quick test_sender_external_cc_ignores_e2e_acks;
           Alcotest.test_case "streaming availability" `Quick test_sender_streaming_availability;
+          Alcotest.test_case "ack ranges clipped to the window" `Quick
+            test_sender_ack_ranges_clipped;
+          Alcotest.test_case "duplicate and reordered acks" `Quick
+            test_sender_duplicate_and_reordered_acks;
+          Alcotest.test_case "provisional then e2e confirmation" `Quick
+            test_sender_provisional_then_e2e;
+          Alcotest.test_case "pto after partial acks" `Quick
+            test_sender_pto_after_partial_acks;
+          Alcotest.test_case "bulk loss retransmit order" `Quick
+            test_sender_bulk_loss_retransmit_order;
         ] );
       ( "sealed",
         [
