@@ -173,14 +173,13 @@ let difference ?received_modulus ~sent ~received_sums () =
   | Some _ | None -> ());
   if Array.length received_sums > sent.threshold then
     invalid_arg "Psum.difference: receiver advertises a larger threshold";
-  let diff =
-    Array.mapi
-      (fun i r ->
-        if r < 0 || r >= sent.modulus then
-          invalid_arg "Psum.difference: received sum out of field range"
-        else sent.sub sent.sums.(i) r)
-      received_sums
-  in
+  let diff = Array.make (Array.length received_sums) 0 in
+  for i = 0 to Array.length received_sums - 1 do
+    let r = received_sums.(i) in
+    if r < 0 || r >= sent.modulus then
+      invalid_arg "Psum.difference: received sum out of field range";
+    diff.(i) <- sent.sub sent.sums.(i) r
+  done;
   if Invariant.active () then
     Invariant.check ~name:"psum-diff-in-field: Psum.difference" (fun () ->
         Array.for_all (fun s -> s >= 0 && s < sent.modulus) diff);

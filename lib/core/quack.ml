@@ -32,10 +32,13 @@ let size_bytes q = (size_bits q + 7) / 8
 
 let wrap_count q n = wrap ~count_bits:q.count_bits n
 
+let missing_count_as ~count_bits q ~sender_count =
+  if count_bits = 0 then invalid_arg "Quack.missing_count: count omitted"
+  else if count_bits >= 62 then sender_count - q.count
+  else (sender_count - q.count) land ((1 lsl count_bits) - 1)
+
 let missing_count q ~sender_count =
-  if q.count_bits = 0 then invalid_arg "Quack.missing_count: count omitted"
-  else if q.count_bits >= 62 then sender_count - q.count
-  else (sender_count - q.count) land ((1 lsl q.count_bits) - 1)
+  missing_count_as ~count_bits:q.count_bits q ~sender_count
 
 let pp ppf q =
   Format.fprintf ppf "quack{b=%d t=%d c=%d count=%d}" q.bits (threshold q)

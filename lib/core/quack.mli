@@ -45,4 +45,9 @@ val missing_count : t -> sender_count:int -> int
 (** Number of missing packets [m = sender_count - count] computed in
     wrap-around arithmetic modulo [2^count_bits] (§3.2). *)
 
+val missing_count_as : count_bits:int -> t -> sender_count:int -> int
+(** {!missing_count} with the count read at [count_bits] instead of
+    the quACK's own width: a sender that knows the configured width
+    need not copy the quACK to override it. *)
+
 val pp : Format.formatter -> t -> unit

@@ -22,7 +22,9 @@ val on_receive : t -> int -> Quack.t option
 
 val emit : t -> Quack.t
 (** Snapshot the current sums as a quACK (cumulative — emitting does
-    not reset anything, which is why lost quACKs are harmless). *)
+    not reset anything, which is why lost quACKs are harmless). With
+    nothing folded in since the last emission, returns that same
+    quACK. *)
 
 val received : t -> int
 (** Total identifiers folded in. *)

@@ -63,13 +63,13 @@ let data t ~flow ~make ~tracked ~degraded =
           (Obs.Trace.Admit { table = t.label; flow });
       tracked st
 
-let feedback t ~flow ~tracked ~degraded =
+let feedback t ~flow =
   Counter.incr t.quacks_rx;
   match Flow_table.find t.table ~now:(t.now ()) flow with
-  | Some st -> tracked st
+  | Some _ as found -> found
   | None ->
       Counter.incr t.degraded_quacks;
-      degraded ()
+      None
 
 let find t flow = Flow_table.find t.table ~now:(t.now ()) flow
 let peek t flow = Flow_table.peek t.table flow

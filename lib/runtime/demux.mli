@@ -48,11 +48,10 @@ val data : 'a t -> flow:int -> make:(unit -> 'a) -> tracked:('a -> unit) ->
     Accounts [data_packets]/[degraded_packets] and records
     [Admit]/[Deny] trace events (when the [Table] category is on). *)
 
-val feedback : 'a t -> flow:int -> tracked:('a -> unit) ->
-  degraded:(unit -> unit) -> unit
-(** Route one returning quACK to the flow's state ([quacks_rx]); an
-    untracked flow's feedback is counted [degraded_quacks] and handed
-    to [degraded]. Never admits. *)
+val feedback : 'a t -> flow:int -> 'a option
+(** The state to route one returning quACK to ([quacks_rx]); an
+    untracked flow's feedback is counted [degraded_quacks] and gets
+    [None]. Never admits. *)
 
 val find : 'a t -> int -> 'a option
 (** Touching lookup (recency + hit/miss stats), as [Flow_table.find]. *)

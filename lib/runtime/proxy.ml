@@ -71,12 +71,17 @@ let create engine ~capacity ~policy ~protocol ~forward ~backward ?cost_clock ()
       Obs.Metrics.counter metrics (Printf.sprintf "%s.freq_updates" label);
   }
 
-let timed t f =
+(* [timed t f x] is [f t x], charged to [busy] when a cost clock is
+   set. [f] is a top-level function, so the untimed path allocates no
+   closure per packet. *)
+let timed t f x =
   match t.cost_clock with
-  | None -> f ()
+  | None -> f t x
   | Some clock ->
       let t0 = clock () in
-      Fun.protect ~finally:(fun () -> t.busy <- t.busy +. (clock () -. t0)) f
+      Fun.protect
+        ~finally:(fun () -> t.busy <- t.busy +. (clock () -. t0))
+        (fun () -> f t x)
 
 let fresh_flow t key () =
   t.protocol.Protocol.init
@@ -88,35 +93,36 @@ let fresh_flow t key () =
       counters = t.counters;
     }
 
-let on_ingress t p =
-  timed t (fun () ->
-      match p.Packet.payload with
-      | Sframes.Freq_update { dst; interval_packets }
-        when String.equal dst t.protocol.Protocol.addr -> (
-          (* §2.3: the far sidecar tunes how often this flow quACKs. *)
-          match Demux.find t.demux p.Packet.flow with
-          | Some fl ->
-              fl.Protocol.on_freq interval_packets;
-              Counter.incr t.freq_updates
-          | None -> ())
-      | Sframes.Freq_update _ | Sframes.Quack_frame _ ->
-          (* sidecar frames for someone else ride along unchanged *)
-          t.forward p
-      | _ ->
-          Demux.data t.demux ~flow:p.Packet.flow
-            ~make:(fresh_flow t p.Packet.flow)
-            ~tracked:(fun fl -> fl.Protocol.on_data p)
-            ~degraded:(fun () -> t.forward p))
+let ingress t p =
+  match p.Packet.payload with
+  | Sframes.Freq_update { dst; interval_packets }
+    when String.equal dst t.protocol.Protocol.addr -> (
+      (* §2.3: the far sidecar tunes how often this flow quACKs. *)
+      match Demux.find t.demux p.Packet.flow with
+      | Some fl ->
+          fl.Protocol.on_freq interval_packets;
+          Counter.incr t.freq_updates
+      | None -> ())
+  | Sframes.Freq_update _ | Sframes.Quack_frame _ ->
+      (* sidecar frames for someone else ride along unchanged *)
+      t.forward p
+  | _ ->
+      Demux.data t.demux ~flow:p.Packet.flow
+        ~make:(fresh_flow t p.Packet.flow)
+        ~tracked:(fun fl -> fl.Protocol.on_data p)
+        ~degraded:(fun () -> t.forward p)
 
-let on_return t p =
-  timed t (fun () ->
-      match p.Packet.payload with
-      | Sframes.Quack_frame { quack; dst; index; _ }
-        when String.equal dst t.protocol.Protocol.addr ->
-          Demux.feedback t.demux ~flow:p.Packet.flow
-            ~tracked:(fun fl -> fl.Protocol.on_feedback ~index quack)
-            ~degraded:(fun () -> ())
-      | _ -> t.backward p)
+let return t p =
+  match p.Packet.payload with
+  | Sframes.Quack_frame { quack; dst; index; _ }
+    when String.equal dst t.protocol.Protocol.addr -> (
+      match Demux.feedback t.demux ~flow:p.Packet.flow with
+      | Some fl -> fl.Protocol.on_feedback ~index quack
+      | None -> ())
+  | _ -> t.backward p
+
+let on_ingress t p = timed t ingress p
+let on_return t p = timed t return p
 
 let start t ~until =
   match t.protocol.Protocol.timer with

@@ -616,6 +616,26 @@ let test_receiver_manual () =
   let q = Receiver_state.emit r in
   check int "count" 10 q.Quack.count
 
+(* A re-emission with nothing folded in since reuses the last quACK;
+   any insertion makes the next emission a fresh snapshot. *)
+let test_receiver_reemit () =
+  let r = Receiver_state.create ~threshold:4 () in
+  List.iter (fun id -> ignore (Receiver_state.on_receive r id)) [ 5; 9; 12 ];
+  let q1 = Receiver_state.emit r in
+  let q2 = Receiver_state.emit r in
+  check bool "unchanged state re-emits the same quACK" true (q1 == q2);
+  ignore (Receiver_state.on_receive r 7);
+  let q3 = Receiver_state.emit r in
+  let fresh = Receiver_state.create ~threshold:4 () in
+  List.iter (fun id -> ignore (Receiver_state.on_receive fresh id)) [ 5; 9; 12; 7 ];
+  check bool "an insertion forces a new snapshot" true (q3 != q2);
+  check int "new count" 4 q3.Quack.count;
+  check (Alcotest.array int) "new sums" (Receiver_state.emit fresh).Quack.sums
+    q3.Quack.sums;
+  check (Alcotest.array int) "the earlier quACK is untouched" q1.Quack.sums
+    q2.Quack.sums;
+  check int "earlier count" 3 q1.Quack.count
+
 let test_receiver_bad_policy () =
   Alcotest.check_raises "zero interval"
     (Invalid_argument "Receiver_state.create: emit interval must be positive")
@@ -1519,6 +1539,8 @@ let () =
         [
           Alcotest.test_case "every-k policy" `Quick test_receiver_policy;
           Alcotest.test_case "manual policy" `Quick test_receiver_manual;
+          Alcotest.test_case "re-emission reuses the snapshot" `Quick
+            test_receiver_reemit;
           Alcotest.test_case "bad policy" `Quick test_receiver_bad_policy;
         ] );
       ( "sender",
