@@ -272,7 +272,33 @@ let qcheck_newton =
         let m = List.length roots in
         let sums = N.power_sums_of_roots roots m in
         P.equal (P.of_roots roots) (N.polynomial_of_power_sums sums));
+    (* The decoder's table of 1/k replaces Newton's per-step division:
+       the same polynomial either way. *)
+    Test.make ~name:"inverse table gives the same polynomial" ~count:100 gen_roots
+      (fun roots ->
+        let field = (module F32 : Modular.S) in
+        let sums = N.power_sums_of_roots roots (List.length roots) in
+        Sidecar_field.Newton.monic_of_power_sums field
+          ~inverses:(Sidecar_field.Newton.inverses field 25)
+          sums
+        = Sidecar_field.Newton.monic_of_power_sums field sums);
   ]
+
+let test_newton_inverses () =
+  List.iter
+    (fun (name, field, n) ->
+      let module F = (val field : Modular.S) in
+      let inv = Sidecar_field.Newton.inverses field n in
+      check int (name ^ " table length") (n + 1) (Array.length inv);
+      for k = 1 to n do
+        check int (Printf.sprintf "%s: k * (1/k) = 1 at k = %d" name k) 1
+          (F.mul (F.of_int k) inv.(k))
+      done)
+    [
+      ("F8", (module F8 : Modular.S), 250);
+      ("F16", (module F16 : Modular.S), 300);
+      ("F32", (module F32 : Modular.S), 300);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Root finding                                                        *)
@@ -466,6 +492,7 @@ let () =
           Alcotest.test_case "single root" `Quick test_newton_single;
           Alcotest.test_case "roundtrip" `Quick test_newton_roundtrip;
           Alcotest.test_case "empty" `Quick test_newton_empty;
+          Alcotest.test_case "inverse table" `Quick test_newton_inverses;
         ] );
       ("newton-props", q qcheck_newton);
       ( "roots",
