@@ -1022,234 +1022,65 @@ let runtime_field _pool =
    proportionally) so CI smoke stays fast. *)
 
 (* ------------------------------------------------------------------ *)
-(* Mobility + multipath scenario families (ROADMAP item 3)             *)
+(* Scenario families                                                   *)
+
+(* Run the arms of every registered family that reports under
+   [section], one row each: a stdout line and a JSON row. Every run is
+   a pure function of its config, so the rows are byte-stable and
+   benchcheck can assert the cross-arm relations. *)
+let run_families pool rows ~section overrides =
+  List.iter
+    (fun (module F : Sidecar_runtime.Families.FAMILY) ->
+      if F.bench_section = section then begin
+        let arms = F.arms overrides in
+        let reports = Exec.Pool.map pool ~f:(fun _ctx (_, c) -> F.run c) arms in
+        List.iter2
+          (fun (arm, _) r ->
+            print_endline (F.bench_line arm r);
+            add_row rows ~section
+              (("scenario", Obs.Json.String F.name)
+              :: ("arm", Obs.Json.String arm)
+              :: F.bench_row r))
+          arms reports
+      end)
+    Sidecar_runtime.Families.all
 
 (* The handover family's three arms (stay on A / resync takeover /
    snapshot-transfer takeover) and the multipath family's two (1:1
    split with folded decode / everything on path 1), one row each in
-   BENCH_HANDOVER.json. Every run is a pure function of its config, so
-   the rows are byte-stable and benchcheck can assert the cross-arm
-   relations (the transfer arm's continuity must cost fewer server
-   resyncs than the resync arm's restart; the split arm aggregates
-   both cells' bandwidth). *)
+   BENCH_HANDOVER.json. benchcheck asserts that the transfer arm's
+   continuity costs no more server resyncs than the resync arm's
+   restart, and that the split arm's folded decode fires. *)
 let runtime_handover pool =
-  let module H = Sidecar_runtime.Handover in
-  let module M = Sidecar_runtime.Multipath in
   section "Runtime: handover + multipath scenario families";
-  let fct_fields ~p50 ~p95 ~p99 ~mean =
-    [
-      ("fct_p50_s", Obs.Json.Float p50);
-      ("fct_p95_s", Obs.Json.Float p95);
-      ("fct_p99_s", Obs.Json.Float p99);
-      ("fct_mean_s", Obs.Json.Float mean);
-    ]
-  in
-  let h_arms =
-    [
-      ("baseline", { H.default_config with H.migrate = false });
-      ("resync", { H.default_config with H.strategy = H.Resync });
-      ("transfer", { H.default_config with H.strategy = H.Transfer });
-    ]
-  in
-  let h_reports =
-    Exec.Pool.map pool ~f:(fun _ctx (_, c) -> H.run c) h_arms
-  in
-  List.iter2
-    (fun (arm, _) (r : H.report) ->
-      Printf.printf
-        "  handover %-8s: %d/%d done  fct p50 %.3fs mean %.3fs  migr %d  \
-         resyncs %d  retx %d (spurious %d)\n"
-        arm r.H.completed r.H.flows r.H.fct_p50 r.H.fct_mean r.H.migrations
-        r.H.srv_resyncs r.H.retransmissions r.H.spurious_retx;
-      add_row handover_rows ~section:"runtime_handover"
-        ([
-           ("scenario", Obs.Json.String "handover");
-           ("arm", Obs.Json.String arm);
-           ("strategy", Obs.Json.String (H.strategy_name r.H.strategy));
-           ("migrated", Obs.Json.Bool r.H.migrated);
-           ("flows", Obs.Json.Int r.H.flows);
-           ("completed", Obs.Json.Int r.H.completed);
-         ]
-        @ fct_fields ~p50:r.H.fct_p50 ~p95:r.H.fct_p95 ~p99:r.H.fct_p99
-            ~mean:r.H.fct_mean
-        @ [
-            ("migrations", Obs.Json.Int r.H.migrations);
-            ("transfers", Obs.Json.Int r.H.transfers);
-            ("transfer_bytes", Obs.Json.Int r.H.transfer_bytes);
-            ("install_merges", Obs.Json.Int r.H.install_merges);
-            ("srv_resyncs", Obs.Json.Int r.H.srv_resyncs);
-            ("retransmissions", Obs.Json.Int r.H.retransmissions);
-            ("timeouts", Obs.Json.Int r.H.timeouts);
-            ("spurious_retx", Obs.Json.Int r.H.spurious_retx);
-            ("delivered_bytes", Obs.Json.Int r.H.data_delivered_bytes);
-          ]))
-    h_arms h_reports;
-  let m_arms =
-    [
-      ("split", M.default_config);
-      ("single_path", { M.default_config with M.split = (1, 0) });
-    ]
-  in
-  let m_reports =
-    Exec.Pool.map pool ~f:(fun _ctx (_, c) -> M.run c) m_arms
-  in
-  List.iter2
-    (fun (arm, _) (r : M.report) ->
-      Printf.printf
-        "  multipath %-11s: %d/%d done  fct p50 %.3fs mean %.3fs  split \
-         %d/%d  folds %d  resyncs %d\n"
-        arm r.M.completed r.M.flows r.M.fct_p50 r.M.fct_mean r.M.path1_pkts
-        r.M.path2_pkts r.M.folded_decodes r.M.srv_resyncs;
-      add_row handover_rows ~section:"runtime_handover"
-        ([
-           ("scenario", Obs.Json.String "multipath");
-           ("arm", Obs.Json.String arm);
-           ("flows", Obs.Json.Int r.M.flows);
-           ("completed", Obs.Json.Int r.M.completed);
-         ]
-        @ fct_fields ~p50:r.M.fct_p50 ~p95:r.M.fct_p95 ~p99:r.M.fct_p99
-            ~mean:r.M.fct_mean
-        @ [
-            ("path1_pkts", Obs.Json.Int r.M.path1_pkts);
-            ("path2_pkts", Obs.Json.Int r.M.path2_pkts);
-            ("folded_decodes", Obs.Json.Int r.M.folded_decodes);
-            ("srv_resyncs", Obs.Json.Int r.M.srv_resyncs);
-            ("retransmissions", Obs.Json.Int r.M.retransmissions);
-            ("timeouts", Obs.Json.Int r.M.timeouts);
-            ("duplicates", Obs.Json.Int r.M.duplicates);
-            ("delivered_bytes", Obs.Json.Int r.M.data_delivered_bytes);
-          ]))
-    m_arms m_reports
-
-(* ------------------------------------------------------------------ *)
-(* Adversarial + leakage scenario families (ROADMAP item 4)            *)
+  run_families pool handover_rows ~section:"runtime_handover"
+    Sidecar_runtime.Families.defaults
 
 (* The adversary family's four arms (unauthenticated at attack rates
    0, R/2 and R, plus the authenticated defence at R) and the leakage
    probe's two (unshaped / shaped quACK channel), one row each in
-   BENCH_ADVERSARY.json, plus one HMAC sign/verify micro row. Every
-   run is a pure function of its config, so the rows are byte-stable
-   and benchcheck can assert the cross-arm relations: attack and
-   damage counts monotone in the rate, the top-rate unauthenticated
-   arm admits attacker quACKs, the authenticated arm admits exactly
-   zero (while rejecting forgeries and dropping replays), and shaping
-   buys observer accuracy down at a measurable byte cost. *)
+   BENCH_ADVERSARY.json, plus one HMAC sign/verify micro row.
+   benchcheck asserts the cross-arm relations: attack and damage
+   counts monotone in the rate, the top-rate unauthenticated arm
+   admits attacker quACKs, the authenticated arm admits exactly zero
+   (while rejecting forgeries and dropping replays), and shaping buys
+   observer accuracy down at a measurable byte cost. *)
 let runtime_adversary pool =
-  let module A = Sidecar_runtime.Adversary in
-  let module L = Sidecar_runtime.Leakage in
   section "Runtime: adversary + leakage scenario families";
   (* BENCH_ADVERSARY_FLOWS caps the per-arm flow count (CI smoke). *)
+  let default = Sidecar_runtime.Adversary.default_config.common.flows in
   let flows =
     match Sys.getenv_opt "BENCH_ADVERSARY_FLOWS" with
-    | Some s -> (
-        try max 8 (int_of_string s)
-        with Failure _ -> A.default_config.A.flows)
-    | None -> A.default_config.A.flows
+    | Some s -> ( try max 8 (int_of_string s) with Failure _ -> default)
+    | None -> default
   in
-  let fct_fields ~p50 ~p95 ~p99 ~mean =
-    [
-      ("fct_p50_s", Obs.Json.Float p50);
-      ("fct_p95_s", Obs.Json.Float p95);
-      ("fct_p99_s", Obs.Json.Float p99);
-      ("fct_mean_s", Obs.Json.Float mean);
-    ]
-  in
-  let rate = 0.2 in
-  let base = { A.default_config with A.flows; table_flows = flows } in
-  let a_arms =
-    [
-      ("unauth_rate0", { base with A.auth = false; attack_rate = 0. });
-      ( "unauth_rate_half",
-        { base with A.auth = false; attack_rate = rate /. 2. } );
-      ("unauth", { base with A.auth = false; attack_rate = rate });
-      ("auth", { base with A.auth = true; attack_rate = rate });
-    ]
-  in
-  let a_reports =
-    Exec.Pool.map pool ~f:(fun _ctx (_, c) -> A.run c) a_arms
-  in
-  List.iter2
-    (fun (arm, _) (r : A.report) ->
-      Printf.printf
-        "  adversary %-16s: %d/%d done  admitted %d  resyncs %d (attacker \
-         %d)  rejected %d  replays dropped %d  malformed %d\n"
-        arm r.A.completed r.A.flows r.A.attacker_admitted r.A.srv_resyncs
-        r.A.attacker_resyncs r.A.auth_rejected r.A.replays_dropped
-        r.A.malformed;
-      add_row adversary_rows ~section:"runtime_adversary"
-        ([
-           ("scenario", Obs.Json.String "adversary");
-           ("arm", Obs.Json.String arm);
-           ("auth", Obs.Json.Bool r.A.auth);
-           ("attack_rate", Obs.Json.Float r.A.attack_rate);
-           ("flows", Obs.Json.Int r.A.flows);
-           ("completed", Obs.Json.Int r.A.completed);
-           ("wedged", Obs.Json.Int r.A.wedged);
-         ]
-        @ fct_fields ~p50:r.A.fct_p50 ~p95:r.A.fct_p95 ~p99:r.A.fct_p99
-            ~mean:r.A.fct_mean
-        @ [
-            ("quacks_sealed", Obs.Json.Int r.A.quacks_sealed);
-            ("auth_bytes_overhead", Obs.Json.Int r.A.auth_bytes_overhead);
-            ( "attacks_spoofed",
-              Obs.Json.Int r.A.attacks.Sidecar_protocols.Adversary.spoofs );
-            ( "attacks_replayed",
-              Obs.Json.Int r.A.attacks.Sidecar_protocols.Adversary.replays );
-            ( "attacks_truncated",
-              Obs.Json.Int r.A.attacks.Sidecar_protocols.Adversary.truncations
-            );
-            ( "attacks_bitflipped",
-              Obs.Json.Int r.A.attacks.Sidecar_protocols.Adversary.bitflips );
-            ("attacker_admitted", Obs.Json.Int r.A.attacker_admitted);
-            ("attacker_resyncs", Obs.Json.Int r.A.attacker_resyncs);
-            ("auth_rejected", Obs.Json.Int r.A.auth_rejected);
-            ("replays_dropped", Obs.Json.Int r.A.replays_dropped);
-            ("malformed", Obs.Json.Int r.A.malformed);
-            ("srv_resyncs", Obs.Json.Int r.A.srv_resyncs);
-            ("retransmissions", Obs.Json.Int r.A.retransmissions);
-            ("timeouts", Obs.Json.Int r.A.timeouts);
-            ("spurious_retx", Obs.Json.Int r.A.spurious_retx);
-            ("delivered_bytes", Obs.Json.Int r.A.data_delivered_bytes);
-          ]))
-    a_arms a_reports;
-  let l_base = { L.default_config with L.flows; table_flows = flows } in
-  let l_arms =
-    [
-      ("unshaped", { l_base with L.shape = false });
-      ("shaped", { l_base with L.shape = true });
-    ]
-  in
-  let l_reports =
-    Exec.Pool.map pool ~f:(fun _ctx (_, c) -> L.run c) l_arms
-  in
-  List.iter2
-    (fun (arm, _) (r : L.report) ->
-      Printf.printf
-        "  leakage %-9s: %d/%d done  observer accuracy %.2f  %d quACKs \
-         (%d B, %d dummies)  fct p50 %.3fs\n"
-        arm r.L.completed r.L.flows r.L.observer_accuracy r.L.quacks_on_wire
-        r.L.quack_bytes_on_wire r.L.dummy_quacks r.L.fct_p50;
-      add_row adversary_rows ~section:"runtime_adversary"
-        ([
-           ("scenario", Obs.Json.String "leakage");
-           ("arm", Obs.Json.String arm);
-           ("shaped", Obs.Json.Bool r.L.shaped);
-           ("flows", Obs.Json.Int r.L.flows);
-           ("completed", Obs.Json.Int r.L.completed);
-         ]
-        @ fct_fields ~p50:r.L.fct_p50 ~p95:r.L.fct_p95 ~p99:r.L.fct_p99
-            ~mean:r.L.fct_mean
-        @ [
-            ("quacks_on_wire", Obs.Json.Int r.L.quacks_on_wire);
-            ("quack_bytes_on_wire", Obs.Json.Int r.L.quack_bytes_on_wire);
-            ("dummy_quacks", Obs.Json.Int r.L.dummy_quacks);
-            ("replays_dropped", Obs.Json.Int r.L.replays_dropped);
-            ("observer_accuracy", Obs.Json.Float r.L.observer_accuracy);
-            ("srv_resyncs", Obs.Json.Int r.L.srv_resyncs);
-            ("retransmissions", Obs.Json.Int r.L.retransmissions);
-            ("timeouts", Obs.Json.Int r.L.timeouts);
-          ]))
-    l_arms l_reports;
+  run_families pool adversary_rows ~section:"runtime_adversary"
+    {
+      Sidecar_runtime.Families.defaults with
+      flows = Some flows;
+      table = Some flows;
+      attack_rate = Some 0.2;
+    };
   (* The per-quACK price of the defence: one HMAC-SHA256 sign at the
      proxy, one verify at the server, 16 tag bytes on the wire. *)
   let mac_key = String.make 32 '\x0b' in

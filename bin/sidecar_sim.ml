@@ -399,156 +399,43 @@ let run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
   let deterministic = Sys.getenv_opt "BENCH_DETERMINISTIC" = Some "1" in
   finish ~traced:false json (Sr.json_report ~deterministic r)
 
-(* runtime --scenario handover|multipath: the §5 mobility and
-   multipath families. Each runs a fixed list of arms (handover:
-   no-migration baseline vs. Resync vs. Transfer; multipath: split
-   vs. single-path) fanned over an [Exec] pool whose width comes from
-   --jobs or --shards — arms are merged in submission order, so the
-   report is byte-identical for any pool width. *)
-let run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
-    ~migrate_after ~ctrl_delay ~crowd ~split ~quack_every ~attack_rate =
-  let module H = Sidecar_runtime.Handover in
-  let module M = Sidecar_runtime.Multipath in
-  let module A = Sidecar_runtime.Adversary in
-  let module L = Sidecar_runtime.Leakage in
-  let with_crowd arrival =
-    match (crowd, arrival) with
-    | Some c, Netsim.Workload.Flash_crowd { base_mean_s; at_s; crowd = _; spread_s }
-      ->
-        Netsim.Workload.Flash_crowd { base_mean_s; at_s; crowd = c; spread_s }
-    | Some c, Netsim.Workload.Poisson _ ->
-        Netsim.Workload.Flash_crowd
-          { base_mean_s = 0.05; at_s = 0.4; crowd = c; spread_s = 0.05 }
-    | None, a -> a
-  in
-  let arms_json name arms =
-    Obs.Json.Obj [ ("scenario", Obs.Json.String name); ("arms", Obs.Json.Obj arms) ]
-  in
-  match family with
-  | "handover" ->
-      let d = H.default_config in
-      let base =
-        {
-          d with
-          H.flows = Option.value flows ~default:d.H.flows;
-          table_flows = Option.value table ~default:d.H.table_flows;
-          arrival = with_crowd d.H.arrival;
-          migrate_after =
-            Option.value migrate_after ~default:d.H.migrate_after;
-          ctrl_delay = Option.value ctrl_delay ~default:d.H.ctrl_delay;
-          quack_every = Option.value quack_every ~default:d.H.quack_every;
-          seed;
-        }
-      in
-      let arms =
-        [
-          ("baseline", { base with H.migrate = false });
-          ("resync", { base with H.strategy = H.Resync });
-          ("transfer", { base with H.strategy = H.Transfer });
-        ]
-      in
-      let reports =
-        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> H.run c) arms
-      in
-      List.iter (fun r -> Format.printf "%a@." H.pp_report r) reports;
-      finish ~traced:false json
-        (arms_json "handover"
-           (List.map2
-              (fun (name, _) r -> (name, H.json_report r))
-              arms reports))
-  | "multipath" ->
-      let d = M.default_config in
-      let base =
-        {
-          d with
-          M.flows = Option.value flows ~default:d.M.flows;
-          table_flows = Option.value table ~default:d.M.table_flows;
-          arrival = with_crowd d.M.arrival;
-          split = Option.value split ~default:d.M.split;
-          quack_every = Option.value quack_every ~default:d.M.quack_every;
-          seed;
-        }
-      in
-      let arms =
-        [ ("split", base); ("single_path", { base with M.split = (1, 0) }) ]
-      in
-      let reports =
-        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> M.run c) arms
-      in
-      List.iter (fun r -> Format.printf "%a@." M.pp_report r) reports;
-      finish ~traced:false json
-        (arms_json "multipath"
-           (List.map2
-              (fun (name, _) r -> (name, M.json_report r))
-              arms reports))
-  | "adversary" ->
-      let d = A.default_config in
-      let rate = Option.value attack_rate ~default:d.A.attack_rate in
-      if not (rate >= 0. && rate <= 1.) then begin
-        Format.eprintf "--attack-rate must be in [0, 1]@.";
-        exit 2
-      end;
-      let base =
-        {
-          d with
-          A.flows = Option.value flows ~default:d.A.flows;
-          table_flows = Option.value table ~default:d.A.table_flows;
-          arrival = with_crowd d.A.arrival;
-          quack_every = Option.value quack_every ~default:d.A.quack_every;
-          seed;
-        }
-      in
-      (* damage curve (unauth at 0, r/2, r) plus the defence at r *)
-      let arms =
-        [
-          ("unauth_rate0", { base with A.auth = false; attack_rate = 0. });
-          ( "unauth_rate_half",
-            { base with A.auth = false; attack_rate = rate /. 2. } );
-          ("unauth", { base with A.auth = false; attack_rate = rate });
-          ("auth", { base with A.auth = true; attack_rate = rate });
-        ]
-      in
-      let reports =
-        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> A.run c) arms
-      in
-      List.iter (fun r -> Format.printf "%a@." A.pp_report r) reports;
-      finish ~traced:false json
-        (arms_json "adversary"
-           (List.map2
-              (fun (name, _) r -> (name, A.json_report r))
-              arms reports))
-  | "leakage" ->
-      let d = L.default_config in
-      let base =
-        {
-          d with
-          L.flows = Option.value flows ~default:d.L.flows;
-          table_flows = Option.value table ~default:d.L.table_flows;
-          arrival = with_crowd d.L.arrival;
-          quack_every = Option.value quack_every ~default:d.L.quack_every;
-          seed;
-        }
-      in
-      let arms =
-        [
-          ("unshaped", { base with L.shape = false });
-          ("shaped", { base with L.shape = true });
-        ]
-      in
-      let reports =
-        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> L.run c) arms
-      in
-      List.iter (fun r -> Format.printf "%a@." L.pp_report r) reports;
-      finish ~traced:false json
-        (arms_json "leakage"
-           (List.map2
-              (fun (name, _) r -> (name, L.json_report r))
-              arms reports))
-  | s ->
-      Format.eprintf
-        "unknown scenario %S (expected handover|multipath|adversary|leakage)@."
-        s;
+(* runtime --scenario FAMILY: one of the registered scenario families
+   (handover, multipath, adversary, leakage). Each runs a fixed list
+   of arms fanned over an [Exec] pool whose width comes from --jobs or
+   --shards — arms are merged in submission order, so the report is
+   byte-identical for any pool width. *)
+module Families = Sidecar_runtime.Families
+module H = Sidecar_runtime.Handover
+module M = Sidecar_runtime.Multipath
+module A = Sidecar_runtime.Adversary
+
+let run_scenario_family ~family ~overrides ~json ~pool_jobs =
+  match Families.find family with
+  | None ->
+      Format.eprintf "unknown scenario %S (expected %s)@." family
+        (String.concat "|"
+           (List.map (fun (module F : Families.FAMILY) -> F.name) Families.all));
       exit 2
+  | Some (module F) ->
+      let arms =
+        try F.arms overrides
+        with Invalid_argument msg ->
+          Format.eprintf "%s@." msg;
+          exit 2
+      in
+      let reports =
+        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> F.run c) arms
+      in
+      List.iter (fun r -> Format.printf "%a@." F.pp_report r) reports;
+      finish ~traced:false json
+        (Obs.Json.Obj
+           [
+             ("scenario", Obs.Json.String F.name);
+             ( "arms",
+               Obs.Json.Obj
+                 (List.map2 (fun (name, _) r -> (name, F.json_report r)) arms
+                    reports) );
+           ])
 
 let runtime_cmd =
   let run protocol flows table eviction idle_ms seed far_loss per_flow
@@ -561,29 +448,36 @@ let runtime_cmd =
           match shards with Some n -> check_jobs (Some n) | None -> check_jobs jobs
         in
         let split =
-          match split with
-          | None -> None
-          | Some s -> (
-              match String.split_on_char ':' s with
-              | [ a; b ] -> (
-                  match (int_of_string_opt a, int_of_string_opt b) with
-                  | Some a, Some b when a >= 0 && b >= 0 && a + b > 0 ->
-                      Some (a, b)
-                  | _ ->
-                      Format.eprintf "bad --split %S (expected A:B)@." s;
-                      exit 2)
+          Option.map
+            (fun s ->
+              match List.map int_of_string_opt (String.split_on_char ':' s) with
+              | [ Some a; Some b ] when a >= 0 && b >= 0 && a + b > 0 -> (a, b)
               | _ ->
                   Format.eprintf "bad --split %S (expected A:B)@." s;
                   exit 2)
+            split
         in
-        run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
-          ~migrate_after ~ctrl_delay ~crowd ~split ~quack_every ~attack_rate
+        run_scenario_family ~family ~json ~pool_jobs
+          ~overrides:
+            {
+              Families.flows;
+              table;
+              seed;
+              crowd;
+              quack_every;
+              migrate_after;
+              ctrl_delay;
+              split;
+              attack_rate;
+            }
     | None ->
     match shards with
     | Some shards ->
         run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
           ~arrivals
-          ~quack_every:(Option.value quack_every ~default:16)
+          ~quack_every:
+            (Option.value quack_every
+               ~default:Sidecar_runtime.Shard_runtime.default_config.quack_every)
           ~datapath ~field ~bits ~seed ~json
     | None ->
     let jobs = check_jobs jobs in
@@ -763,8 +657,13 @@ let runtime_cmd =
   let quack_every =
     Arg.(value & opt (some int) None
          & info [ "quack-every" ] ~docv:"K"
-             ~doc:"A tracked flow emits a quACK every $(docv)-th packet \
-                   (--shards mode).")
+             ~doc:
+               (Printf.sprintf
+                  "A tracked flow emits a quACK every $(docv)-th packet, in \
+                   the scenario families (default %d) and --shards mode \
+                   (default %d)."
+                  H.default_config.H.common.quack_every
+                  Sidecar_runtime.Shard_runtime.default_config.quack_every))
   in
   let field =
     Arg.(value & opt string "modular"
@@ -779,47 +678,52 @@ let runtime_cmd =
                    planner's choice).")
   in
   let scenario =
+    let family (module F : Families.FAMILY) =
+      Printf.sprintf "%s (%s arms)" F.name
+        (String.concat "/" (List.map fst (F.arms Families.defaults)))
+    in
     Arg.(value & opt (some string) None
          & info [ "scenario" ] ~docv:"FAMILY"
-             ~doc:"Run a scenario family instead of the single-proxy \
-                   runtime: handover (no-migration/resync/transfer arms), \
-                   multipath (split/single-path arms), adversary \
-                   (unauth damage curve vs. authenticated defence under an \
-                   on-path quACK attacker) or leakage (unshaped/shaped \
-                   quACK side-channel probe). Arms are fanned over \
-                   the --jobs (or --shards) pool; the report is \
-                   byte-identical for any pool width.")
+             ~doc:
+               ("Run a scenario family instead of the single-proxy runtime: "
+               ^ String.concat ", " (List.map family Families.all)
+               ^ ". Arms are fanned over the --jobs (or --shards) pool; the \
+                  report is byte-identical for any pool width."))
   in
+  (* A family knob; its default is read from the family's config. *)
+  let knob parse name docv doc default =
+    Arg.(value & opt (some parse) None
+         & info [ name ] ~docv ~doc:(doc ^ " (default " ^ default ^ ")."))
+  in
+  let ms span = Printf.sprintf "%g" (Time.to_float_ms span) in
   let migrate_after =
-    Arg.(value & opt (some msarg) None
-         & info [ "migrate-after" ] ~docv:"MS"
-             ~doc:"handover: migrate each flow this long into its life \
-                   (default 600).")
+    knob msarg "migrate-after" "MS"
+      "handover: migrate each flow this long into its life"
+      (ms H.default_config.H.migrate_after)
   in
   let ctrl_delay =
-    Arg.(value & opt (some msarg) None
-         & info [ "ctrl-delay" ] ~docv:"MS"
-             ~doc:"handover: modeled control-channel delay for the Transfer \
-                   snapshot (default 5).")
+    knob msarg "ctrl-delay" "MS"
+      "handover: modeled control-channel delay for the Transfer snapshot"
+      (ms H.default_config.H.ctrl_delay)
   in
   let crowd =
-    Arg.(value & opt (some int) None
-         & info [ "crowd" ] ~docv:"N"
-             ~doc:"Scenario families: flash-crowd burst size (default 16).")
+    knob Arg.int "crowd" "N" "Scenario families: flash-crowd burst size"
+      (match Sidecar_runtime.Harness.flash_crowd with
+      | Netsim.Workload.Flash_crowd { crowd; _ } -> string_of_int crowd
+      | Netsim.Workload.Poisson _ -> "none")
   in
   let split =
-    Arg.(value & opt (some string) None
-         & info [ "split" ] ~docv:"A:B"
-             ~doc:"multipath: of every A+B data packets, the first A take \
-                   path 1 (default 1:1).")
+    let a, b = M.default_config.M.split in
+    knob Arg.string "split" "A:B"
+      "multipath: of every A+B data packets, the first A take path 1"
+      (Printf.sprintf "%d:%d" a b)
   in
   let attack_rate =
-    Arg.(value & opt (some float) None
-         & info [ "attack-rate" ] ~docv:"R"
-             ~doc:"adversary: per-quACK bernoulli rate for each of the four \
-                   attacks (spoof/replay/truncate/bit-flip), in [0, 1] \
-                   (default 0.1). The family sweeps 0, R/2, R \
-                   unauthenticated plus R authenticated.")
+    knob Arg.float "attack-rate" "R"
+      "adversary: per-quACK bernoulli rate for each of the four attacks \
+       (spoof/replay/truncate/bit-flip), in [0, 1]; the family sweeps 0, \
+       R/2, R unauthenticated plus R authenticated"
+      (Printf.sprintf "%g" A.default_config.A.attack_rate)
   in
   Cmd.v
     (Cmd.info "runtime"

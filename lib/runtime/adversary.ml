@@ -1,14 +1,7 @@
-module Engine = Netsim.Engine
 module Link = Netsim.Link
 module Packet = Netsim.Packet
-module Time = Netsim.Sim_time
-module Rng = Netsim.Rng
-module Stats = Netsim.Stats
-module Workload = Netsim.Workload
 module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
-module Sframes = Sidecar_protocols.Sframes
-module Migration = Sidecar_protocols.Migration
 module Adv = Sidecar_protocols.Adversary
 
 type config = {
@@ -16,57 +9,25 @@ type config = {
       (** [true] = the server verifies tags and runs the replay guard;
           [false] = the pre-fix seams, to measure the damage *)
   attack_rate : float;  (** per-attack bernoulli rate (all four equal) *)
-  flows : int;
-  table_flows : int;
-  near : Path.segment;  (** server -> junction *)
+  common : Harness.common;
   far : Path.segment;  (** junction -> client *)
-  mss : int;
-  size_dist : Workload.size_dist;
-  min_units : int;
-  max_units : int;
-  arrival : Workload.arrival;
-  quack_every : int;
-  bits : int;
-  threshold : int;
-  count_bits : int;
-  replay_delay : Time.span;
-  seed : int;
-  until : Time.t;
+  size_dist : Netsim.Workload.size_dist;
+  replay_delay : Netsim.Sim_time.span;
 }
 
 let default_config =
   {
     auth = false;
     attack_rate = 0.1;
-    flows = 40;
-    table_flows = 40;
-    near = Path.segment ~rate_bps:100_000_000 ~delay:(Time.ms 10) ();
+    common = Harness.default ~arrival:Harness.poisson;
     far = Path.cellular;
-    mss = 1460;
-    size_dist = Workload.web_flows;
-    min_units = 200;
-    max_units = 2000;
-    arrival = Workload.Poisson { mean_s = 0.05 };
-    quack_every = 16;
-    bits = 32;
-    threshold = 16;
-    count_bits = 16;
-    replay_delay = Time.ms 50;
-    seed = 1;
-    until = Time.s 180;
+    size_dist = Netsim.Workload.web_flows;
+    replay_delay = Netsim.Sim_time.ms 50;
   }
 
 type report = {
-  auth : bool;
-  attack_rate : float;
-  flows : int;
-  completed : int;
-  wedged : int;  (** flows still incomplete at the horizon *)
-  fct_p50 : float;
-  fct_p95 : float;
-  fct_p99 : float;
-  fct_mean : float;
-  data_delivered_bytes : int;
+  config : config;
+  summary : Harness.summary;
   proxy : Proxy.stats;
   quacks_sealed : int;  (** genuine emissions sealed at the proxy *)
   auth_bytes_overhead : int;  (** tag bytes added to those emissions *)
@@ -86,53 +47,20 @@ type report = {
   malformed : int;
       (** sealed quACKs whose wire bytes failed to decode, or decoded
           to sketch parameters other than the server's own *)
-  srv_resyncs : int;
-  retransmissions : int;
-  timeouts : int;
-  spurious_retx : int;  (** duplicate deliveries at clients *)
-  sim_end : Time.t;
 }
 
-(* The shared quACK-authentication key: in a deployment this is the
-   out-of-band sidecar-protocol secret (§3.2 configuration); here it
-   is derived from the run seed so arms stay reproducible. The
-   adversary never sees it. *)
-let auth_key seed =
-  Sidecar_hash.Sha256.digest_string (Printf.sprintf "quack-auth-key-%d" seed)
-
 let run (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Adversary.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Adversary.run: bad unit bounds";
+  let c = cfg.common in
+  Harness.check ~family:"Adversary" c;
   if not (cfg.attack_rate >= 0. && cfg.attack_rate <= 1.) then
     invalid_arg "Adversary.run: attack rate outside [0, 1]";
-  let { Path.engine; fwd; rev } = Path.build ~seed:cfg.seed [ cfg.near; cfg.far ] in
-  let n = cfg.flows in
-  let key = auth_key cfg.seed in
-
-  (* ---- workload --------------------------------------------------- *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        let u = Workload.sample_size wl_rng cfg.size_dist in
-        max cfg.min_units (min cfg.max_units u))
-  in
-  let start_at =
-    Array.map Time.of_float_s (Workload.arrival_times wl_rng cfg.arrival ~n)
+  let n = c.flows in
+  let key = Harness.auth_key c.seed in
+  let h =
+    Harness.create c ~far:[ cfg.far ] ~sizes:(Harness.Dist cfg.size_dist) ()
   in
 
   (* ---- the quACK-emitting sidecar at the junction ----------------- *)
-  let protocol, _handle =
-    Migration.make
-      {
-        Migration.addr = "sidecar";
-        bits = cfg.bits;
-        threshold = cfg.threshold;
-        count_bits = cfg.count_bits;
-        quack_every = cfg.quack_every;
-        field = None;
-      }
-  in
   let quacks_sealed = ref 0 in
   (* Ground truth for damage attribution: every wire encoding the
      sidecar actually emitted, per flow. A packet whose *contents*
@@ -145,125 +73,52 @@ let run (cfg : config) =
      bytes + detached tag (what actually travels, and what the
      adversary gets to attack); everything else passes through. *)
   let seal_backward p =
-    let p =
-      match p.Packet.payload with
-      | Sframes.Quack_frame { quack; dst = "server"; index; _ } ->
-          incr quacks_sealed;
-          let wire = Q.Wire.encode_framed quack in
-          Hashtbl.replace emitted.(p.Packet.flow) wire ();
-          let tag = Q.Wire.tag ~key ~flow:p.Packet.flow ~index wire in
-          {
-            p with
-            Packet.payload = Adv.Sealed { wire; tag; index; origin = Adv.Proxy };
-            size =
-              String.length wire + String.length tag + Sframes.encapsulation;
-          }
-      | _ -> p
-    in
-    ignore (Link.send rev.(1) p)
+    match Harness.seal ~key p with
+    | Some (sealed, wire) ->
+        incr quacks_sealed;
+        Hashtbl.replace emitted.(p.Packet.flow) wire ();
+        Harness.to_server h sealed
+    | None -> Harness.to_server h p
   in
-  let proxy =
-    Proxy.create engine ~capacity:cfg.table_flows ~policy:Flow_table.Lru
-      ~protocol
-      ~forward:(fun p -> ignore (Link.send fwd.(1) p))
-      ~backward:seal_backward ()
-  in
-
-  (* ---- per-flow endpoints ----------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let senders =
-    Array.init n (fun i ->
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~id_key:(Q.Identifier.key_of_int (0x51DE + i))
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id p.Packet.seq)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
-  in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ~send_ack:(fun p -> ignore (Link.send rev.(0) p))
-          ())
+  let proxy, _ =
+    Harness.sidecar h ~addr:"sidecar" ~far:1 ~backward:seal_backward ()
   in
 
   (* ---- server-side quACK consumption ------------------------------ *)
-  let srv_resyncs = ref 0 in
   let attacker_admitted = ref 0 in
   let attacker_resyncs = ref 0 in
   let auth_rejected = ref 0 in
   let malformed = ref 0 in
-  let guards = Array.init n (fun _ -> Q.Replay_guard.create ()) in
   (* legacy high-water marks for the unauthenticated arm *)
   let last_index = Array.make n 0 in
   (* [foreign] = the quACK's contents were never emitted by the
      sidecar (fabricated or tampered sums — the integrity violation
      [attacker_admitted] counts); [hostile] = the packet was delivered
      by the adversary (replayed genuine bytes included — what
-     [attacker_resyncs] attributes). *)
-  let apply_fresh i quack ~foreign ~hostile =
-    match Q.Sender_state.on_quack srv_ss.(i) quack with
-    | Ok rep when not rep.Q.Sender_state.stale ->
-        if foreign then incr attacker_admitted;
-        (match rep.Q.Sender_state.acked with
-        | [] -> ()
-        | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs))
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) ->
-        (* the §3.3 escape hatch — which an attacker's garbage sums
-           reach almost surely, so without authentication this seam
-           adopts the forgery as the new baseline *)
-        incr srv_resyncs;
+     [attacker_resyncs] attributes). A resync is the §3.3 escape
+     hatch, which an attacker's garbage sums reach almost surely:
+     without authentication the seam adopts the forgery as the new
+     baseline. *)
+  let attribute ~foreign ~hostile = function
+    | Harness.Applied -> if foreign then incr attacker_admitted
+    | Harness.Resynced ->
         if hostile then incr attacker_resyncs;
-        if foreign then incr attacker_admitted;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    | Error (`Config_mismatch _) -> ()
-  in
-  let on_sealed_unauth i ~index ~foreign ~hostile quack =
-    if index <= last_index.(i) then begin
-      (* the pre-guard seam: any regressed index is read as a restart
-         and its sums adopted wholesale — replayed AND forged quACKs
-         both walk straight in *)
-      incr srv_resyncs;
-      if hostile then incr attacker_resyncs;
-      if foreign then incr attacker_admitted;
-      ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    end
-    else apply_fresh i quack ~foreign ~hostile;
-    last_index.(i) <- index
-  in
-  let on_sealed_auth i ~index ~foreign ~hostile quack =
-    match Q.Replay_guard.classify guards.(i) ~index quack with
-    | Q.Replay_guard.Replay -> ()
-    | Q.Replay_guard.Fresh -> apply_fresh i quack ~foreign ~hostile
-    | Q.Replay_guard.Regression ->
-        incr srv_resyncs;
-        if hostile then incr attacker_resyncs;
-        if foreign then incr attacker_admitted;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
+        if foreign then incr attacker_admitted
+    | Harness.Ignored -> ()
   in
   let on_sealed i ~index ~origin ~tag ~wire =
     if cfg.auth && not (Q.Wire.verify_tag ~key ~flow:i ~index ~tag wire) then
       (* forged, truncated and bit-flipped quACKs all die here — the
          verifier's expected tag length is its own, so the old
-         short-tag forgery (this PR's bugfix) is closed too *)
+         short-tag forgery is closed too *)
       incr auth_rejected
     else
       match Q.Wire.decode_framed wire with
       | Error _ -> incr malformed
       | Ok quack
-        when quack.Q.Quack.bits <> cfg.bits
-             || Q.Quack.threshold quack <> cfg.threshold
-             || quack.Q.Quack.count_bits <> cfg.count_bits ->
+        when quack.Q.Quack.bits <> c.bits
+             || Q.Quack.threshold quack <> c.threshold
+             || quack.Q.Quack.count_bits <> c.count_bits ->
           (* decodes, but not with the server's sketch parameters (the
              truncation attack lands here even unauthenticated: the
              server knows its own threshold) *)
@@ -271,80 +126,40 @@ let run (cfg : config) =
       | Ok quack ->
           let hostile = origin <> Adv.Proxy in
           let foreign = hostile && not (Hashtbl.mem emitted.(i) wire) in
-          if cfg.auth then on_sealed_auth i ~index ~foreign ~hostile quack
-          else on_sealed_unauth i ~index ~foreign ~hostile quack
+          attribute ~foreign ~hostile
+            (if cfg.auth then Harness.receive h i ~index quack
+             else begin
+               (* the pre-guard seam: any regressed index is read as a
+                  restart and its sums adopted wholesale — replayed AND
+                  forged quACKs both walk straight in *)
+               let outcome =
+                 if index <= last_index.(i) then Harness.resync h i quack
+                 else Harness.apply h i quack
+               in
+               last_index.(i) <- index;
+               outcome
+             end)
   in
-
-  (* ---- wiring ------------------------------------------------------ *)
-  let delivered_bytes = ref 0 in
-  Link.set_tap fwd.(1) (fun p -> delivered_bytes := !delivered_bytes + p.Packet.size);
-  Link.set_deliver fwd.(0) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then Proxy.on_ingress proxy p);
-  Link.set_deliver fwd.(1) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then
-        Transport.Receiver.deliver receivers.(p.Packet.flow) p);
-  Link.set_deliver rev.(0) (Proxy.on_return proxy);
   let deliver_server p =
-    if p.Packet.flow >= 0 && p.Packet.flow < n then
+    if Harness.owns h p then
       match p.Packet.payload with
       | Adv.Sealed { wire; tag; index; origin } ->
           on_sealed p.Packet.flow ~index ~origin ~tag ~wire
-      | _ -> Transport.Sender.deliver_ack senders.(p.Packet.flow) p
+      | _ -> Harness.deliver_ack h p
   in
   let adv =
-    Adv.create ~replay_delay:cfg.replay_delay ~engine
-      ~rng:(Rng.split (Engine.rng engine))
+    Adv.create ~replay_delay:cfg.replay_delay ~engine:h.Harness.engine
+      ~rng:(Netsim.Rng.split (Netsim.Engine.rng h.Harness.engine))
       ~rates:(Adv.uniform cfg.attack_rate)
       ~emit:deliver_server ()
   in
-  Link.set_deliver rev.(1) (Adv.on_path adv);
-
-  (* ---- run ---------------------------------------------------------- *)
-  let flow_done i = Transport.Receiver.complete_at receivers.(i) <> None in
-  let rec reap i () =
-    if flow_done i then ignore (Proxy.release proxy i)
-    else if Engine.now engine < cfg.until then
-      Engine.schedule engine ~delay:(Time.ms 500) (reap i)
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          Engine.schedule engine ~delay:(Time.ms 500) (reap i)))
-    start_at;
-  Engine.run ~until:cfg.until engine;
-
-  (* ---- summary ----------------------------------------------------- *)
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  let completed = ref 0 in
-  let retransmissions = ref 0 in
-  let timeouts = ref 0 in
-  let spurious = ref 0 in
-  for i = 0 to n - 1 do
-    let st = Transport.Sender.stats senders.(i) in
-    retransmissions := !retransmissions + st.Transport.Sender.retransmissions;
-    timeouts := !timeouts + st.Transport.Sender.timeouts;
-    spurious := !spurious + Transport.Receiver.duplicates receivers.(i);
-    match Transport.Receiver.complete_at receivers.(i) with
-    | Some at ->
-        incr completed;
-        let fct = Time.to_float_s (Time.diff at start_at.(i)) in
-        Stats.Quantiles.add qs fct;
-        Stats.Summary.add summary fct
-    | None -> ()
-  done;
+  Link.set_deliver h.Harness.fwd.(0) (fun p ->
+      if Harness.owns h p then Proxy.on_ingress proxy p);
+  Link.set_deliver h.Harness.rev.(1) (Adv.on_path adv);
+  let summary = Harness.run h ~release:[ proxy ] () in
   {
-    auth = cfg.auth;
-    attack_rate = cfg.attack_rate;
-    flows = n;
-    completed = !completed;
-    wedged = n - !completed;
-    fct_p50 = (if !completed = 0 then Float.nan else Stats.Quantiles.p50 qs);
-    fct_p95 = (if !completed = 0 then Float.nan else Stats.Quantiles.p95 qs);
-    fct_p99 = (if !completed = 0 then Float.nan else Stats.Quantiles.p99 qs);
-    fct_mean = (if !completed = 0 then Float.nan else Stats.Summary.mean summary);
-    data_delivered_bytes = !delivered_bytes;
+    config = cfg;
+    summary;
     proxy = Proxy.stats proxy;
     quacks_sealed = !quacks_sealed;
     auth_bytes_overhead = Q.Wire.auth_overhead * !quacks_sealed;
@@ -352,54 +167,41 @@ let run (cfg : config) =
     attacker_admitted = !attacker_admitted;
     attacker_resyncs = !attacker_resyncs;
     auth_rejected = !auth_rejected;
-    replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards;
+    replays_dropped = Harness.replays_dropped h;
     malformed = !malformed;
-    srv_resyncs = !srv_resyncs;
-    retransmissions = !retransmissions;
-    timeouts = !timeouts;
-    spurious_retx = !spurious;
-    sim_end = Engine.now engine;
   }
 
-let arm_name (r : report) = if r.auth then "auth" else "unauth"
+let arm_name (r : report) = if r.config.auth then "auth" else "unauth"
 
 let json_report (r : report) =
-  Obs.Json.Obj
-    [
-      ("arm", Obs.Json.String (arm_name r));
-      ("attack_rate", Obs.Json.Float r.attack_rate);
-      ("flows", Obs.Json.Int r.flows);
-      ("completed", Obs.Json.Int r.completed);
-      ("wedged", Obs.Json.Int r.wedged);
-      ("fct_p50_s", Obs.Json.Float r.fct_p50);
-      ("fct_p95_s", Obs.Json.Float r.fct_p95);
-      ("fct_p99_s", Obs.Json.Float r.fct_p99);
-      ("fct_mean_s", Obs.Json.Float r.fct_mean);
-      ("data_delivered_bytes", Obs.Json.Int r.data_delivered_bytes);
-      ("proxy", Scenario.json_proxy_stats r.proxy);
-      ("quacks_sealed", Obs.Json.Int r.quacks_sealed);
-      ("auth_bytes_overhead", Obs.Json.Int r.auth_bytes_overhead);
-      ("attacks_spoofed", Obs.Json.Int r.attacks.Adv.spoofs);
-      ("attacks_replayed", Obs.Json.Int r.attacks.Adv.replays);
-      ("attacks_truncated", Obs.Json.Int r.attacks.Adv.truncations);
-      ("attacks_bitflipped", Obs.Json.Int r.attacks.Adv.bitflips);
-      ("attacker_admitted", Obs.Json.Int r.attacker_admitted);
-      ("attacker_resyncs", Obs.Json.Int r.attacker_resyncs);
-      ("auth_rejected", Obs.Json.Int r.auth_rejected);
-      ("replays_dropped", Obs.Json.Int r.replays_dropped);
-      ("malformed", Obs.Json.Int r.malformed);
-      ("srv_resyncs", Obs.Json.Int r.srv_resyncs);
-      ("retransmissions", Obs.Json.Int r.retransmissions);
-      ("timeouts", Obs.Json.Int r.timeouts);
-      ("spurious_retx", Obs.Json.Int r.spurious_retx);
-      ("sim_end_ns", Obs.Json.Int r.sim_end);
-    ]
+  Harness.json r.summary
+    ~head:
+      [
+        ("arm", Obs.Json.String (arm_name r));
+        ("attack_rate", Obs.Json.Float r.config.attack_rate);
+      ]
+    ~wedged:true
+    ~body:
+      [
+        ("proxy", Scenario.json_proxy_stats r.proxy);
+        ("quacks_sealed", Obs.Json.Int r.quacks_sealed);
+        ("auth_bytes_overhead", Obs.Json.Int r.auth_bytes_overhead);
+        ("attacks_spoofed", Obs.Json.Int r.attacks.Adv.spoofs);
+        ("attacks_replayed", Obs.Json.Int r.attacks.Adv.replays);
+        ("attacks_truncated", Obs.Json.Int r.attacks.Adv.truncations);
+        ("attacks_bitflipped", Obs.Json.Int r.attacks.Adv.bitflips);
+        ("attacker_admitted", Obs.Json.Int r.attacker_admitted);
+        ("attacker_resyncs", Obs.Json.Int r.attacker_resyncs);
+        ("auth_rejected", Obs.Json.Int r.auth_rejected);
+        ("replays_dropped", Obs.Json.Int r.replays_dropped);
+        ("malformed", Obs.Json.Int r.malformed);
+      ]
+    ~duplicates:"spurious_retx" ()
 
 let pp_report ppf (r : report) =
+  let s = r.summary in
   Format.fprintf ppf
-    "@[<v>adversary arm=%s rate=%.3f: %d/%d completed (%d wedged) by %a@,\
-     fct p50 %.3fs p95 %.3fs p99 %.3fs mean %.3fs@,\
+    "@[<v>adversary arm=%s rate=%.3f: %a@,\
      attacks: %d spoofed, %d replayed, %d truncated, %d bit-flipped (of %d \
      observed)@,\
      damage: %d attacker quACKs admitted, %d attacker-forced resyncs@,\
@@ -407,10 +209,9 @@ let pp_report ppf (r : report) =
      sealed %d quACKs (+%d B tags); server resyncs %d, retx %d (spurious \
      %d), timeouts %d@,\
      proxy: %a@,delivered %d B@]"
-    (arm_name r) r.attack_rate r.completed r.flows r.wedged Time.pp r.sim_end
-    r.fct_p50 r.fct_p95 r.fct_p99 r.fct_mean r.attacks.Adv.spoofs
-    r.attacks.Adv.replays r.attacks.Adv.truncations r.attacks.Adv.bitflips
-    r.attacks.Adv.observed r.attacker_admitted r.attacker_resyncs
-    r.auth_rejected r.replays_dropped r.malformed r.quacks_sealed
-    r.auth_bytes_overhead r.srv_resyncs r.retransmissions r.spurious_retx
-    r.timeouts Scenario.pp_proxy_stats r.proxy r.data_delivered_bytes
+    (arm_name r) r.config.attack_rate (Harness.pp_outcome ~wedged:true) s
+    r.attacks.Adv.spoofs r.attacks.Adv.replays r.attacks.Adv.truncations
+    r.attacks.Adv.bitflips r.attacks.Adv.observed r.attacker_admitted
+    r.attacker_resyncs r.auth_rejected r.replays_dropped r.malformed
+    r.quacks_sealed r.auth_bytes_overhead s.srv_resyncs s.retransmissions
+    s.duplicates s.timeouts Scenario.pp_proxy_stats r.proxy s.delivered_bytes

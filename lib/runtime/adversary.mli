@@ -21,22 +21,10 @@ type config = {
       (** [true] = the server verifies tags and runs the replay guard;
           [false] = the pre-fix seams, to measure the damage *)
   attack_rate : float;  (** per-attack bernoulli rate (all four equal) *)
-  flows : int;
-  table_flows : int;
-  near : Sidecar_protocols.Path.segment;  (** server -> junction *)
+  common : Harness.common;  (** [near] is server -> junction *)
   far : Sidecar_protocols.Path.segment;  (** junction -> client *)
-  mss : int;
   size_dist : Netsim.Workload.size_dist;
-  min_units : int;
-  max_units : int;
-  arrival : Netsim.Workload.arrival;
-  quack_every : int;
-  bits : int;
-  threshold : int;
-  count_bits : int;
   replay_delay : Netsim.Sim_time.span;
-  seed : int;
-  until : Netsim.Sim_time.t;
 }
 
 val default_config : config
@@ -44,16 +32,11 @@ val default_config : config
     segment — the damage arm's baseline. *)
 
 type report = {
-  auth : bool;
-  attack_rate : float;
-  flows : int;
-  completed : int;
-  wedged : int;  (** flows still incomplete at the horizon *)
-  fct_p50 : float;
-  fct_p95 : float;
-  fct_p99 : float;
-  fct_mean : float;
-  data_delivered_bytes : int;
+  config : config;  (** the arm's *)
+  summary : Harness.summary;
+      (** [duplicates] are the spurious retransmissions observed at
+          clients; flows incomplete at the horizon are reported as
+          [wedged] *)
   proxy : Proxy.stats;
   quacks_sealed : int;  (** genuine emissions sealed at the proxy *)
   auth_bytes_overhead : int;  (** tag bytes added to those emissions *)
@@ -73,22 +56,12 @@ type report = {
   malformed : int;
       (** sealed quACKs whose wire bytes failed to decode, or decoded
           to sketch parameters other than the server's own *)
-  srv_resyncs : int;
-  retransmissions : int;
-  timeouts : int;
-  spurious_retx : int;  (** duplicate deliveries at clients *)
-  sim_end : Netsim.Sim_time.t;
 }
 
 val run : config -> report
 (** @raise Invalid_argument on non-positive flow count, bad unit
     bounds, or an attack rate outside [[0, 1]]. *)
 
-val arm_name : report -> string
-(** ["auth"] or ["unauth"]. *)
-
 val json_report : report -> Obs.Json.t
-(** Schema-stable, wall-clock free: byte-identical for identical
-    configs whatever the pool width. *)
 
 val pp_report : Format.formatter -> report -> unit

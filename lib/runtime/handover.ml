@@ -2,10 +2,6 @@ module Engine = Netsim.Engine
 module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
-module Rng = Netsim.Rng
-module Stats = Netsim.Stats
-module Workload = Netsim.Workload
-module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
 module Sframes = Sidecar_protocols.Sframes
 module Migration = Sidecar_protocols.Migration
@@ -17,228 +13,76 @@ let strategy_name = function Resync -> "resync" | Transfer -> "transfer"
 type config = {
   strategy : strategy;
   migrate : bool;  (** [false] = baseline arm: every flow stays on A *)
-  flows : int;
-  table_flows : int;
-  near : Path.segment;  (** server -> junction *)
+  common : Harness.common;
   far_a : Path.segment;  (** junction -> client via sidecar A *)
   far_b : Path.segment;  (** junction -> client via sidecar B *)
-  mss : int;
-  size_dist : Workload.size_dist;
-  min_units : int;
-  max_units : int;
-  arrival : Workload.arrival;
+  size_dist : Netsim.Workload.size_dist;
   migrate_after : Time.span;  (** per flow, relative to its start *)
   ctrl_delay : Time.span;  (** control-channel latency of a Transfer *)
-  quack_every : int;
-  bits : int;
-  threshold : int;
-  count_bits : int;
-  seed : int;
-  until : Time.t;
 }
 
 let default_config =
   {
     strategy = Transfer;
     migrate = true;
-    flows = 40;
-    table_flows = 40;
-    near = Path.segment ~rate_bps:100_000_000 ~delay:(Time.ms 10) ();
+    common = Harness.default ~arrival:Harness.flash_crowd;
     far_a = Path.cellular;
     far_b = Path.congested_cell;
-    mss = 1460;
-    size_dist = Workload.web_flows;
-    min_units = 200;
-    max_units = 2000;
-    arrival = Workload.Flash_crowd
-        { base_mean_s = 0.05; at_s = 0.4; crowd = 16; spread_s = 0.05 };
+    size_dist = Netsim.Workload.web_flows;
     migrate_after = Time.ms 250;
     ctrl_delay = Time.ms 5;
-    quack_every = 16;
-    bits = 32;
-    threshold = 16;
-    count_bits = 16;
-    seed = 1;
-    until = Time.s 180;
   }
 
 type report = {
-  strategy : strategy;
-  migrated : bool;
-  flows : int;
-  completed : int;
-  fct_p50 : float;
-  fct_p95 : float;
-  fct_p99 : float;
-  fct_mean : float;
-  data_delivered_bytes : int;
+  config : config;
+  summary : Harness.summary;
   proxy_a : Proxy.stats;
   proxy_b : Proxy.stats;
   migrations : int;
   transfers : int;  (** snapshots shipped over the control channel *)
   transfer_bytes : int;  (** modeled control-channel cost *)
   install_merges : int;  (** transfers that raced with migrated data *)
-  srv_resyncs : int;
   srv_replays_dropped : int;
-  retransmissions : int;
-  timeouts : int;
-  spurious_retx : int;  (** duplicate deliveries at the client *)
-  sim_end : Time.t;
 }
 
 let run (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Handover.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Handover.run: bad unit bounds";
+  Harness.check ~family:"Handover" cfg.common;
   if cfg.migrate_after <= 0 then
     invalid_arg "Handover.run: migrate_after must be positive";
   if cfg.ctrl_delay < 0 then
     invalid_arg "Handover.run: negative control-channel delay";
-  (* One engine, three unwired duplex segments: near (server-junction)
-     plus the two parallel far branches. [Path.build] returns the
-     return links receiver-side first, so rev.(0)/rev.(1) are the far
-     B/A client-side links and rev.(2) is the junction-server link. *)
-  let { Path.engine; fwd; rev } =
-    Path.build ~seed:cfg.seed [ cfg.near; cfg.far_a; cfg.far_b ]
-  in
-  let n = cfg.flows in
-
-  (* ---- workload --------------------------------------------------- *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        let u = Workload.sample_size wl_rng cfg.size_dist in
-        max cfg.min_units (min cfg.max_units u))
-  in
-  let start_at =
-    Array.map Time.of_float_s (Workload.arrival_times wl_rng cfg.arrival ~n)
-  in
-
-  (* ---- the two sidecars ------------------------------------------- *)
-  let mk_migration addr =
-    Migration.make
-      {
-        Migration.addr;
-        bits = cfg.bits;
-        threshold = cfg.threshold;
-        count_bits = cfg.count_bits;
-        quack_every = cfg.quack_every;
-        field = None;
-      }
-  in
-  let proto_a, handle_a = mk_migration "sidecarA" in
-  let proto_b, handle_b = mk_migration "sidecarB" in
-  let mk_proxy ~protocol ~forward =
-    Proxy.create engine ~capacity:cfg.table_flows ~policy:Flow_table.Lru
-      ~protocol ~forward
-      ~backward:(fun p -> ignore (Link.send rev.(2) p))
+  (* Far branch 1 is A, 2 is B; end-to-end ACKs ride the flow's
+     current path (rev.(1) is A's return link, rev.(0) B's). *)
+  let on_a = Array.make cfg.common.flows true in
+  let h =
+    Harness.create cfg.common ~far:[ cfg.far_a; cfg.far_b ]
+      ~sizes:(Harness.Dist cfg.size_dist)
+      ~ack_link:(fun i -> if on_a.(i) then 1 else 0)
       ()
   in
-  let proxy_a =
-    mk_proxy ~protocol:proto_a ~forward:(fun p -> ignore (Link.send fwd.(1) p))
-  in
-  let proxy_b =
-    mk_proxy ~protocol:proto_b ~forward:(fun p -> ignore (Link.send fwd.(2) p))
-  in
-
-  (* ---- per-flow endpoints ----------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let srv_resyncs = ref 0 in
-  let on_a = Array.make n true in
-  let senders =
-    Array.init n (fun i ->
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~id_key:(Q.Identifier.key_of_int (0x51DE + i))
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id p.Packet.seq)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
-  in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ~send_ack:(fun p ->
-            (* end-to-end ACKs ride the flow's current path *)
-            ignore (Link.send (if on_a.(i) then rev.(1) else rev.(0)) p))
-          ())
-  in
-
-  (* ---- server sidecar: quACKs -> provisional window credit -------- *)
-  let srv_guards = Array.init n (fun _ -> Q.Replay_guard.create ()) in
-  let on_srv_report i quack =
-    match Q.Sender_state.on_quack srv_ss.(i) quack with
-    | Ok rep when not rep.Q.Sender_state.stale -> (
-        match rep.Q.Sender_state.acked with
-        | [] -> ()
-        | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs))
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) ->
-        incr srv_resyncs;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    | Error (`Config_mismatch _) -> ()
-  in
-  let on_server_quack i ~index quack =
-    match Q.Replay_guard.classify srv_guards.(i) ~index quack with
-    | Q.Replay_guard.Fresh -> on_srv_report i quack
-    | Q.Replay_guard.Replay ->
-        (* byte-identical re-delivery of an already-consumed emission:
-           dropped, counted — never a resync trigger *)
-        ()
-    | Q.Replay_guard.Regression ->
-        (* A regressed emission index with novel contents means the
-           emitting sidecar's state restarted — under [Resync] that is
-           sidecar B's first fresh quACK after the handover (§3.3:
-           adopt its sums as baseline). *)
-        incr srv_resyncs;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-  in
-
-  (* ---- wiring ------------------------------------------------------ *)
-  let delivered_bytes = ref 0 in
-  let count_delivered p =
-    delivered_bytes := !delivered_bytes + p.Packet.size
-  in
-  Link.set_tap fwd.(1) count_delivered;
-  Link.set_tap fwd.(2) count_delivered;
+  let engine = h.Harness.engine in
+  let proxy_a, handle_a = Harness.sidecar h ~addr:"sidecarA" ~far:1 () in
+  let proxy_b, handle_b = Harness.sidecar h ~addr:"sidecarB" ~far:2 () in
   (* junction: route by the flow's current path assignment *)
-  Link.set_deliver fwd.(0) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then
+  Link.set_deliver h.Harness.fwd.(0) (fun p ->
+      if Harness.owns h p then
         if on_a.(p.Packet.flow) then Proxy.on_ingress proxy_a p
         else Proxy.on_ingress proxy_b p);
-  let deliver_client p =
-    if p.Packet.flow >= 0 && p.Packet.flow < n then
-      Transport.Receiver.deliver receivers.(p.Packet.flow) p
-  in
-  Link.set_deliver fwd.(1) deliver_client;
-  Link.set_deliver fwd.(2) deliver_client;
-  Link.set_deliver rev.(1) (Proxy.on_return proxy_a);
-  Link.set_deliver rev.(0) (Proxy.on_return proxy_b);
-  Link.set_deliver rev.(2) (fun p ->
+  Link.set_deliver h.Harness.rev.(2) (fun p ->
       match p.Packet.payload with
       | Sframes.Quack_frame { quack; dst = "server"; index; _ } ->
-          if p.Packet.flow >= 0 && p.Packet.flow < n then
-            on_server_quack p.Packet.flow ~index quack
-      | _ ->
-          if p.Packet.flow >= 0 && p.Packet.flow < n then
-            Transport.Sender.deliver_ack senders.(p.Packet.flow) p);
-
-  let flow_done i = Transport.Receiver.complete_at receivers.(i) <> None in
+          (* under [Resync], sidecar B's first fresh quACK after the
+             handover is the regression the guard resyncs on *)
+          if Harness.owns h p then
+            ignore (Harness.receive h p.Packet.flow ~index quack)
+      | _ -> Harness.deliver_ack h p);
 
   (* ---- the migration event ---------------------------------------- *)
   let migrations = ref 0 in
   let transfers = ref 0 in
   let transfer_bytes = ref 0 in
   let migrate i () =
-    if (not (flow_done i)) && on_a.(i) then begin
+    if (not (Harness.flow_done h i)) && on_a.(i) then begin
       incr migrations;
       (match cfg.strategy with
       | Resync -> ()
@@ -263,111 +107,55 @@ let run (cfg : config) =
       on_a.(i) <- false
     end
   in
-
-  (* ---- run ---------------------------------------------------------- *)
-  let release_slots i =
-    ignore (Proxy.release proxy_a i);
-    ignore (Proxy.release proxy_b i)
+  let summary =
+    Harness.run h ~release:[ proxy_a; proxy_b ]
+      ~on_start:(fun i ->
+        if cfg.migrate then
+          Engine.schedule engine ~delay:cfg.migrate_after (migrate i))
+      ()
   in
-  let rec reap i () =
-    if flow_done i then release_slots i
-    else if Engine.now engine < cfg.until then
-      Engine.schedule engine ~delay:(Time.ms 500) (reap i)
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          if cfg.migrate then
-            Engine.schedule engine ~delay:cfg.migrate_after (migrate i);
-          Engine.schedule engine ~delay:(Time.ms 500) (reap i)))
-    start_at;
-  Engine.run ~until:cfg.until engine;
-
-  (* ---- summary ----------------------------------------------------- *)
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  let completed = ref 0 in
-  let retransmissions = ref 0 in
-  let timeouts = ref 0 in
-  let spurious = ref 0 in
-  for i = 0 to n - 1 do
-    let st = Transport.Sender.stats senders.(i) in
-    retransmissions := !retransmissions + st.Transport.Sender.retransmissions;
-    timeouts := !timeouts + st.Transport.Sender.timeouts;
-    spurious := !spurious + Transport.Receiver.duplicates receivers.(i);
-    match Transport.Receiver.complete_at receivers.(i) with
-    | Some at ->
-        incr completed;
-        let fct = Time.to_float_s (Time.diff at start_at.(i)) in
-        Stats.Quantiles.add qs fct;
-        Stats.Summary.add summary fct
-    | None -> ()
-  done;
   {
-    strategy = cfg.strategy;
-    migrated = cfg.migrate;
-    flows = n;
-    completed = !completed;
-    fct_p50 = (if !completed = 0 then Float.nan else Stats.Quantiles.p50 qs);
-    fct_p95 = (if !completed = 0 then Float.nan else Stats.Quantiles.p95 qs);
-    fct_p99 = (if !completed = 0 then Float.nan else Stats.Quantiles.p99 qs);
-    fct_mean = (if !completed = 0 then Float.nan else Stats.Summary.mean summary);
-    data_delivered_bytes = !delivered_bytes;
+    config = cfg;
+    summary;
     proxy_a = Proxy.stats proxy_a;
     proxy_b = Proxy.stats proxy_b;
     migrations = !migrations;
     transfers = !transfers;
     transfer_bytes = !transfer_bytes;
     install_merges = Migration.install_merges handle_b;
-    srv_resyncs = !srv_resyncs;
-    srv_replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 srv_guards;
-    retransmissions = !retransmissions;
-    timeouts = !timeouts;
-    spurious_retx = !spurious;
-    sim_end = Engine.now engine;
+    srv_replays_dropped = Harness.replays_dropped h;
   }
 
 let json_report (r : report) =
-  Obs.Json.Obj
-    [
-      ("strategy", Obs.Json.String (strategy_name r.strategy));
-      ("migrated", Obs.Json.Bool r.migrated);
-      ("flows", Obs.Json.Int r.flows);
-      ("completed", Obs.Json.Int r.completed);
-      ("fct_p50_s", Obs.Json.Float r.fct_p50);
-      ("fct_p95_s", Obs.Json.Float r.fct_p95);
-      ("fct_p99_s", Obs.Json.Float r.fct_p99);
-      ("fct_mean_s", Obs.Json.Float r.fct_mean);
-      ("data_delivered_bytes", Obs.Json.Int r.data_delivered_bytes);
-      ("proxy_a", Scenario.json_proxy_stats r.proxy_a);
-      ("proxy_b", Scenario.json_proxy_stats r.proxy_b);
-      ("migrations", Obs.Json.Int r.migrations);
-      ("transfers", Obs.Json.Int r.transfers);
-      ("transfer_bytes", Obs.Json.Int r.transfer_bytes);
-      ("install_merges", Obs.Json.Int r.install_merges);
-      ("srv_resyncs", Obs.Json.Int r.srv_resyncs);
-      ("srv_replays_dropped", Obs.Json.Int r.srv_replays_dropped);
-      ("retransmissions", Obs.Json.Int r.retransmissions);
-      ("timeouts", Obs.Json.Int r.timeouts);
-      ("spurious_retx", Obs.Json.Int r.spurious_retx);
-      ("sim_end_ns", Obs.Json.Int r.sim_end);
-    ]
+  Harness.json r.summary
+    ~head:
+      [
+        ("strategy", Obs.Json.String (strategy_name r.config.strategy));
+        ("migrated", Obs.Json.Bool r.config.migrate);
+      ]
+    ~body:
+      [
+        ("proxy_a", Scenario.json_proxy_stats r.proxy_a);
+        ("proxy_b", Scenario.json_proxy_stats r.proxy_b);
+        ("migrations", Obs.Json.Int r.migrations);
+        ("transfers", Obs.Json.Int r.transfers);
+        ("transfer_bytes", Obs.Json.Int r.transfer_bytes);
+        ("install_merges", Obs.Json.Int r.install_merges);
+      ]
+    ~replays_dropped:r.srv_replays_dropped ~duplicates:"spurious_retx" ()
 
 let pp_report ppf (r : report) =
+  let s = r.summary in
   Format.fprintf ppf
-    "@[<v>handover %s%s: %d/%d completed by %a@,\
-     fct p50 %.3fs p95 %.3fs p99 %.3fs mean %.3fs@,\
+    "@[<v>handover %s%s: %a@,\
      migrations %d (transfers %d, %d B ctrl, %d merged on race)@,\
      server resyncs %d (replays dropped %d), retx %d (spurious %d), timeouts \
      %d@,\
      sidecar A: %a@,sidecar B: %a@,delivered %d B@]"
-    (strategy_name r.strategy)
-    (if r.migrated then "" else " (baseline: no migration)")
-    r.completed r.flows Time.pp r.sim_end r.fct_p50 r.fct_p95 r.fct_p99
-    r.fct_mean r.migrations r.transfers r.transfer_bytes r.install_merges
-    r.srv_resyncs r.srv_replays_dropped r.retransmissions r.spurious_retx
-    r.timeouts
+    (strategy_name r.config.strategy)
+    (if r.config.migrate then "" else " (baseline: no migration)")
+    (Harness.pp_outcome ~wedged:false) s r.migrations r.transfers
+    r.transfer_bytes r.install_merges s.srv_resyncs r.srv_replays_dropped
+    s.retransmissions s.duplicates s.timeouts
     Scenario.pp_proxy_stats r.proxy_a Scenario.pp_proxy_stats r.proxy_b
-    r.data_delivered_bytes
+    s.delivered_bytes

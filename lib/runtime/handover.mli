@@ -38,24 +38,12 @@ val strategy_name : strategy -> string
 type config = {
   strategy : strategy;
   migrate : bool;  (** [false] = baseline arm: every flow stays on A *)
-  flows : int;
-  table_flows : int;
-  near : Sidecar_protocols.Path.segment;
+  common : Harness.common;  (** [near] is server -> junction *)
   far_a : Sidecar_protocols.Path.segment;
   far_b : Sidecar_protocols.Path.segment;
-  mss : int;
   size_dist : Netsim.Workload.size_dist;
-  min_units : int;
-  max_units : int;
-  arrival : Netsim.Workload.arrival;
   migrate_after : Netsim.Sim_time.span;
   ctrl_delay : Netsim.Sim_time.span;
-  quack_every : int;
-  bits : int;
-  threshold : int;
-  count_bits : int;
-  seed : int;
-  until : Netsim.Sim_time.t;
 }
 
 val default_config : config
@@ -65,30 +53,20 @@ val default_config : config
     40 flows. *)
 
 type report = {
-  strategy : strategy;
-  migrated : bool;
-  flows : int;
-  completed : int;
-  fct_p50 : float;
-  fct_p95 : float;
-  fct_p99 : float;
-  fct_mean : float;
-  data_delivered_bytes : int;
+  config : config;  (** the arm's *)
+  summary : Harness.summary;
+      (** [duplicates] are the spurious retransmissions observed at
+          clients *)
   proxy_a : Proxy.stats;
   proxy_b : Proxy.stats;
   migrations : int;
   transfers : int;
   transfer_bytes : int;
   install_merges : int;
-  srv_resyncs : int;
   srv_replays_dropped : int;
       (** regressed-index quACKs byte-identical to a remembered
           emission: dropped by the server's {!Sidecar_quack.Replay_guard}
           instead of forcing a §3.3 resync *)
-  retransmissions : int;
-  timeouts : int;
-  spurious_retx : int;  (** duplicate deliveries observed at clients *)
-  sim_end : Netsim.Sim_time.t;
 }
 
 val run : config -> report
@@ -96,7 +74,5 @@ val run : config -> report
     bounds, non-positive [migrate_after], or negative [ctrl_delay]. *)
 
 val json_report : report -> Obs.Json.t
-(** Schema-stable, wall-clock free: byte-identical for identical
-    configs regardless of jobs/shards. *)
 
 val pp_report : Format.formatter -> report -> unit

@@ -3,12 +3,9 @@ module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
 module Rng = Netsim.Rng
-module Stats = Netsim.Stats
-module Workload = Netsim.Workload
 module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
 module Sframes = Sidecar_protocols.Sframes
-module Migration = Sidecar_protocols.Migration
 module Adv = Sidecar_protocols.Adversary
 
 type config = {
@@ -18,20 +15,8 @@ type config = {
       (** shaping: keep the per-flow slot clock running (dummy-filled)
           until at least this long after flow start, so the quACK
           stream's lifetime stops tracking the flow's *)
-  flows : int;
-  table_flows : int;
-  near : Path.segment;
+  common : Harness.common;
   far : Path.segment;
-  mss : int;
-  min_units : int;  (** the small flow-size class *)
-  max_units : int;  (** the large flow-size class *)
-  arrival : Workload.arrival;
-  quack_every : int;
-  bits : int;
-  threshold : int;
-  count_bits : int;
-  seed : int;
-  until : Time.t;
 }
 
 let default_config =
@@ -39,30 +24,13 @@ let default_config =
     shape = false;
     grid = Time.ms 50;
     pad_session = Time.s 8;
-    flows = 40;
-    table_flows = 40;
-    near = Path.segment ~rate_bps:100_000_000 ~delay:(Time.ms 10) ();
+    common = Harness.default ~arrival:Harness.poisson;
     far = Path.cellular;
-    mss = 1460;
-    min_units = 200;
-    max_units = 2000;
-    arrival = Workload.Poisson { mean_s = 0.05 };
-    quack_every = 16;
-    bits = 32;
-    threshold = 16;
-    count_bits = 16;
-    seed = 1;
-    until = Time.s 180;
   }
 
 type report = {
-  shaped : bool;
-  flows : int;
-  completed : int;
-  fct_p50 : float;
-  fct_p95 : float;
-  fct_p99 : float;
-  fct_mean : float;
+  config : config;
+  summary : Harness.summary;
   quacks_on_wire : int;  (** sealed emissions the observer saw *)
   quack_bytes_on_wire : int;
   dummy_quacks : int;  (** shaping chaff (byte-identical re-emissions) *)
@@ -70,10 +38,6 @@ type report = {
   observer_accuracy : float;
       (** fraction of flows whose size class (small vs. large) a
           count-thresholding on-path observer labels correctly *)
-  srv_resyncs : int;
-  retransmissions : int;
-  timeouts : int;
-  sim_end : Time.t;
 }
 
 (* lower median of a non-empty array *)
@@ -83,62 +47,41 @@ let median a =
   s.((Array.length s - 1) / 2)
 
 let run (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Leakage.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Leakage.run: bad unit bounds";
+  let c = cfg.common in
+  Harness.check ~family:"Leakage" c;
   if cfg.grid <= 0 then invalid_arg "Leakage.run: grid must be positive";
   if cfg.pad_session < 0 then invalid_arg "Leakage.run: negative pad_session";
-  let { Path.engine; fwd; rev } = Path.build ~seed:cfg.seed [ cfg.near; cfg.far ] in
-  let n = cfg.flows in
-  let key =
-    Sidecar_hash.Sha256.digest_string
-      (Printf.sprintf "quack-auth-key-%d" cfg.seed)
-  in
-
-  (* ---- workload --------------------------------------------------- *)
+  let n = c.flows in
+  let key = Harness.auth_key c.seed in
   (* Bimodal sizes give the probe a crisp ground truth: each flow is
      either small or large, a fair coin per flow. The observer's job
      is to recover that bit from the quACK side channel alone. *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        if Rng.bool wl_rng ~p:0.5 then cfg.max_units else cfg.min_units)
+  let h =
+    Harness.create c ~far:[ cfg.far ]
+      ~sizes:
+        (Harness.Sample
+           (fun rng -> if Rng.bool rng ~p:0.5 then c.max_units else c.min_units))
+      ()
   in
-  let start_at =
-    Array.map Time.of_float_s (Workload.arrival_times wl_rng cfg.arrival ~n)
-  in
+  let engine = h.Harness.engine in
 
   (* ---- sidecar + shaping seam ------------------------------------- *)
-  let protocol, _handle =
-    Migration.make
-      {
-        Migration.addr = "sidecar";
-        bits = cfg.bits;
-        threshold = cfg.threshold;
-        count_bits = cfg.count_bits;
-        quack_every = cfg.quack_every;
-        field = None;
-      }
-  in
   (* every sealed quACK is padded to the same wire size; the packed
      payload is already parameter-constant, so this mainly pins the
      envelope against future variable-size formats *)
   let pad_to =
-    Q.Wire.packed_size ~bits:cfg.bits ~threshold:cfg.threshold
-      ~count_bits:cfg.count_bits
+    Q.Wire.packed_size ~bits:c.bits ~threshold:c.threshold
+      ~count_bits:c.count_bits
     + Q.Wire.frame_overhead + Q.Wire.auth_overhead + Sframes.encapsulation
   in
   let pending : Packet.t option array = Array.make n None in
   let last_sealed : Packet.t option array = Array.make n None in
   let ticking = Array.make n false in
-  let stop_at = Array.map (fun at -> Time.add at cfg.pad_session) start_at in
-  let dummy_quacks = ref 0 in
-  let receivers_ref = ref [||] in
-  let flow_done i =
-    let rs = !receivers_ref in
-    Array.length rs > 0 && Transport.Receiver.complete_at rs.(i) <> None
+  let stop_at =
+    Array.map (fun at -> Time.add at cfg.pad_session) h.Harness.start_at
   in
-  let send_out p = ignore (Link.send rev.(1) p) in
+  let dummy_quacks = ref 0 in
+  let send_out = Harness.to_server h in
   (* One emission opportunity per grid tick per flow: the freshest
      genuine quACK if one is buffered (intermediate emissions coalesce
      — the sums are cumulative, so only decode granularity is lost),
@@ -162,96 +105,33 @@ let run (cfg : config) =
             send_out p
         | None -> ()));
     let now = Engine.now engine in
-    if (not (flow_done i) || now < stop_at.(i)) && now < cfg.until then
-      Engine.schedule engine ~delay:cfg.grid (tick i)
+    if ((not (Harness.flow_done h i)) || now < stop_at.(i)) && now < c.until
+    then Engine.schedule engine ~delay:cfg.grid (tick i)
   in
-  let quacks_sealed = ref 0 in
   let seal_backward p =
-    match p.Packet.payload with
-    | Sframes.Quack_frame { quack; dst = "server"; index; _ } ->
-        incr quacks_sealed;
-        let wire = Q.Wire.encode_framed quack in
-        let tag = Q.Wire.tag ~key ~flow:p.Packet.flow ~index wire in
-        let sealed =
-          {
-            p with
-            Packet.payload = Adv.Sealed { wire; tag; index; origin = Adv.Proxy };
-            size =
-              (if cfg.shape then pad_to
-               else
-                 String.length wire + String.length tag + Sframes.encapsulation);
-          }
-        in
-        if cfg.shape then begin
-          let i = p.Packet.flow in
-          pending.(i) <- Some sealed;
-          if not ticking.(i) then begin
-            ticking.(i) <- true;
-            Engine.schedule engine ~delay:cfg.grid (tick i)
-          end
+    match Harness.seal ~key p with
+    | Some (sealed, _) when cfg.shape ->
+        let i = p.Packet.flow in
+        pending.(i) <- Some { sealed with Packet.size = pad_to };
+        if not ticking.(i) then begin
+          ticking.(i) <- true;
+          Engine.schedule engine ~delay:cfg.grid (tick i)
         end
-        else send_out sealed
-    | _ -> send_out p
+    | Some (sealed, _) -> send_out sealed
+    | None -> send_out p
   in
-  let proxy =
-    Proxy.create engine ~capacity:cfg.table_flows ~policy:Flow_table.Lru
-      ~protocol
-      ~forward:(fun p -> ignore (Link.send fwd.(1) p))
-      ~backward:seal_backward ()
+  let proxy, _ =
+    Harness.sidecar h ~addr:"sidecar" ~far:1 ~backward:seal_backward ()
   in
-
-  (* ---- endpoints --------------------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let senders =
-    Array.init n (fun i ->
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~id_key:(Q.Identifier.key_of_int (0x51DE + i))
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id p.Packet.seq)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
-  in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ~send_ack:(fun p -> ignore (Link.send rev.(0) p))
-          ())
-  in
-  receivers_ref := receivers;
 
   (* ---- the authenticated server seam (both arms) ------------------ *)
-  let srv_resyncs = ref 0 in
-  let guards = Array.init n (fun _ -> Q.Replay_guard.create ()) in
   let on_sealed i ~index ~tag ~wire =
     if Q.Wire.verify_tag ~key ~flow:i ~index ~tag wire then
       match Q.Wire.decode_framed wire with
       | Error _ -> ()
-      | Ok quack -> (
-          match Q.Replay_guard.classify guards.(i) ~index quack with
-          | Q.Replay_guard.Replay -> () (* shaping chaff lands here *)
-          | Q.Replay_guard.Fresh -> (
-              match Q.Sender_state.on_quack srv_ss.(i) quack with
-              | Ok rep when not rep.Q.Sender_state.stale -> (
-                  match rep.Q.Sender_state.acked with
-                  | [] -> ()
-                  | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs))
-              | Ok _ -> ()
-              | Error (`Threshold_exceeded _) ->
-                  incr srv_resyncs;
-                  ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-              | Error (`Config_mismatch _) -> ())
-          | Q.Replay_guard.Regression ->
-              incr srv_resyncs;
-              ignore (Q.Sender_state.resync_to srv_ss.(i) quack))
+      | Ok quack ->
+          (* shaping chaff is a replay the guard drops *)
+          ignore (Harness.receive h i ~index quack)
   in
 
   (* ---- the on-path observer --------------------------------------- *)
@@ -260,60 +140,25 @@ let run (cfg : config) =
   let obs_count = Array.make n 0 in
   let obs_bytes = ref 0 in
   let obs_total = ref 0 in
-  Link.set_tap rev.(1) (fun p ->
+  let server_link = h.Harness.rev.(1) in
+  Link.set_tap server_link (fun p ->
       match p.Packet.payload with
-      | Adv.Sealed _ when p.Packet.flow >= 0 && p.Packet.flow < n ->
+      | Adv.Sealed _ when Harness.owns h p ->
           obs_count.(p.Packet.flow) <- obs_count.(p.Packet.flow) + 1;
           obs_bytes := !obs_bytes + p.Packet.size;
           incr obs_total
       | _ -> ());
-
-  (* ---- wiring ------------------------------------------------------ *)
-  Link.set_deliver fwd.(0) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then Proxy.on_ingress proxy p);
-  Link.set_deliver fwd.(1) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then
-        Transport.Receiver.deliver receivers.(p.Packet.flow) p);
-  Link.set_deliver rev.(0) (Proxy.on_return proxy);
-  Link.set_deliver rev.(1) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then
+  Link.set_deliver h.Harness.fwd.(0) (fun p ->
+      if Harness.owns h p then Proxy.on_ingress proxy p);
+  Link.set_deliver server_link (fun p ->
+      if Harness.owns h p then
         match p.Packet.payload with
         | Adv.Sealed { wire; tag; index; _ } ->
             on_sealed p.Packet.flow ~index ~tag ~wire
-        | _ -> Transport.Sender.deliver_ack senders.(p.Packet.flow) p);
+        | _ -> Harness.deliver_ack h p);
+  let summary = Harness.run h ~release:[ proxy ] () in
 
-  (* ---- run ---------------------------------------------------------- *)
-  let rec reap i () =
-    if flow_done i then ignore (Proxy.release proxy i)
-    else if Engine.now engine < cfg.until then
-      Engine.schedule engine ~delay:(Time.ms 500) (reap i)
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          Engine.schedule engine ~delay:(Time.ms 500) (reap i)))
-    start_at;
-  Engine.run ~until:cfg.until engine;
-
-  (* ---- summary + the observer's guess ------------------------------ *)
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  let completed = ref 0 in
-  let retransmissions = ref 0 in
-  let timeouts = ref 0 in
-  for i = 0 to n - 1 do
-    let st = Transport.Sender.stats senders.(i) in
-    retransmissions := !retransmissions + st.Transport.Sender.retransmissions;
-    timeouts := !timeouts + st.Transport.Sender.timeouts;
-    match Transport.Receiver.complete_at receivers.(i) with
-    | Some at ->
-        incr completed;
-        let fct = Time.to_float_s (Time.diff at start_at.(i)) in
-        Stats.Quantiles.add qs fct;
-        Stats.Summary.add summary fct
-    | None -> ()
-  done;
+  (* ---- the observer's guess ---------------------------------------- *)
   (* size-class recovery from the quACK side channel alone: flows
      strictly above the median observed emission count are guessed
      "large" (strict, so a flattened shaped stream where most counts
@@ -322,60 +167,42 @@ let run (cfg : config) =
   let count_median = median obs_count in
   let correct = ref 0 in
   for i = 0 to n - 1 do
-    let truly_large = units.(i) > cfg.min_units in
+    let truly_large = h.Harness.units.(i) > c.min_units in
     let guessed_large = obs_count.(i) > count_median in
     if truly_large = guessed_large then incr correct
   done;
   {
-    shaped = cfg.shape;
-    flows = n;
-    completed = !completed;
-    fct_p50 = (if !completed = 0 then Float.nan else Stats.Quantiles.p50 qs);
-    fct_p95 = (if !completed = 0 then Float.nan else Stats.Quantiles.p95 qs);
-    fct_p99 = (if !completed = 0 then Float.nan else Stats.Quantiles.p99 qs);
-    fct_mean = (if !completed = 0 then Float.nan else Stats.Summary.mean summary);
+    config = cfg;
+    summary;
     quacks_on_wire = !obs_total;
     quack_bytes_on_wire = !obs_bytes;
     dummy_quacks = !dummy_quacks;
-    replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards;
+    replays_dropped = Harness.replays_dropped h;
     observer_accuracy = float_of_int !correct /. float_of_int n;
-    srv_resyncs = !srv_resyncs;
-    retransmissions = !retransmissions;
-    timeouts = !timeouts;
-    sim_end = Engine.now engine;
   }
 
-let arm_name (r : report) = if r.shaped then "shaped" else "unshaped"
+let arm_name (r : report) = if r.config.shape then "shaped" else "unshaped"
 
 let json_report (r : report) =
-  Obs.Json.Obj
-    [
-      ("arm", Obs.Json.String (arm_name r));
-      ("flows", Obs.Json.Int r.flows);
-      ("completed", Obs.Json.Int r.completed);
-      ("fct_p50_s", Obs.Json.Float r.fct_p50);
-      ("fct_p95_s", Obs.Json.Float r.fct_p95);
-      ("fct_p99_s", Obs.Json.Float r.fct_p99);
-      ("fct_mean_s", Obs.Json.Float r.fct_mean);
-      ("quacks_on_wire", Obs.Json.Int r.quacks_on_wire);
-      ("quack_bytes_on_wire", Obs.Json.Int r.quack_bytes_on_wire);
-      ("dummy_quacks", Obs.Json.Int r.dummy_quacks);
-      ("replays_dropped", Obs.Json.Int r.replays_dropped);
-      ("observer_accuracy", Obs.Json.Float r.observer_accuracy);
-      ("srv_resyncs", Obs.Json.Int r.srv_resyncs);
-      ("retransmissions", Obs.Json.Int r.retransmissions);
-      ("timeouts", Obs.Json.Int r.timeouts);
-      ("sim_end_ns", Obs.Json.Int r.sim_end);
-    ]
+  Harness.json r.summary
+    ~head:[ ("arm", Obs.Json.String (arm_name r)) ]
+    ~delivered:false
+    ~body:
+      [
+        ("quacks_on_wire", Obs.Json.Int r.quacks_on_wire);
+        ("quack_bytes_on_wire", Obs.Json.Int r.quack_bytes_on_wire);
+        ("dummy_quacks", Obs.Json.Int r.dummy_quacks);
+        ("replays_dropped", Obs.Json.Int r.replays_dropped);
+        ("observer_accuracy", Obs.Json.Float r.observer_accuracy);
+      ]
+    ()
 
 let pp_report ppf (r : report) =
+  let s = r.summary in
   Format.fprintf ppf
-    "@[<v>leakage arm=%s: %d/%d completed by %a@,\
-     fct p50 %.3fs p95 %.3fs p99 %.3fs mean %.3fs@,\
+    "@[<v>leakage arm=%s: %a@,\
      observer: %d quACKs (%d B) on the wire, %d dummies, accuracy %.2f@,\
      server: %d resyncs, %d chaff replays dropped; retx %d, timeouts %d@]"
-    (arm_name r) r.completed r.flows Time.pp r.sim_end r.fct_p50 r.fct_p95
-    r.fct_p99 r.fct_mean r.quacks_on_wire r.quack_bytes_on_wire r.dummy_quacks
-    r.observer_accuracy r.srv_resyncs r.replays_dropped r.retransmissions
-    r.timeouts
+    (arm_name r) (Harness.pp_outcome ~wedged:false) s r.quacks_on_wire
+    r.quack_bytes_on_wire r.dummy_quacks r.observer_accuracy s.srv_resyncs
+    r.replays_dropped s.retransmissions s.timeouts

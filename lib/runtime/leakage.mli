@@ -32,20 +32,10 @@ type config = {
   pad_session : Netsim.Sim_time.span;
       (** shaping: keep the per-flow slot clock running (dummy-filled)
           until at least this long after flow start *)
-  flows : int;
-  table_flows : int;
-  near : Sidecar_protocols.Path.segment;
+  common : Harness.common;
+      (** [min_units] is the small flow-size class, [max_units] the
+          large one *)
   far : Sidecar_protocols.Path.segment;
-  mss : int;
-  min_units : int;  (** the small flow-size class *)
-  max_units : int;  (** the large flow-size class *)
-  arrival : Netsim.Workload.arrival;
-  quack_every : int;
-  bits : int;
-  threshold : int;
-  count_bits : int;
-  seed : int;
-  until : Netsim.Sim_time.t;
 }
 
 val default_config : config
@@ -53,13 +43,8 @@ val default_config : config
     over a cellular far segment. *)
 
 type report = {
-  shaped : bool;
-  flows : int;
-  completed : int;
-  fct_p50 : float;
-  fct_p95 : float;
-  fct_p99 : float;
-  fct_mean : float;
+  config : config;  (** the arm's *)
+  summary : Harness.summary;
   quacks_on_wire : int;  (** sealed emissions the observer saw *)
   quack_bytes_on_wire : int;
   dummy_quacks : int;  (** shaping chaff (byte-identical re-emissions) *)
@@ -67,21 +52,12 @@ type report = {
   observer_accuracy : float;
       (** fraction of flows whose size class (small vs. large) a
           count-thresholding on-path observer labels correctly *)
-  srv_resyncs : int;
-  retransmissions : int;
-  timeouts : int;
-  sim_end : Netsim.Sim_time.t;
 }
 
 val run : config -> report
 (** @raise Invalid_argument on a non-positive flow count or grid, bad
     unit bounds, or a negative [pad_session]. *)
 
-val arm_name : report -> string
-(** ["shaped"] or ["unshaped"]. *)
-
 val json_report : report -> Obs.Json.t
-(** Schema-stable, wall-clock free: byte-identical for identical
-    configs whatever the pool width. *)
 
 val pp_report : Format.formatter -> report -> unit

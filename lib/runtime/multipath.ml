@@ -1,19 +1,11 @@
-module Engine = Netsim.Engine
 module Link = Netsim.Link
 module Packet = Netsim.Packet
-module Time = Netsim.Sim_time
-module Rng = Netsim.Rng
-module Stats = Netsim.Stats
-module Workload = Netsim.Workload
 module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
 module Sframes = Sidecar_protocols.Sframes
-module Migration = Sidecar_protocols.Migration
 
 type config = {
-  flows : int;
-  table_flows : int;
-  near : Path.segment;  (** server -> splitter *)
+  common : Harness.common;
   far_1 : Path.segment;  (** splitter -> client via sidecar 1 *)
   far_2 : Path.segment;  (** splitter -> client via sidecar 2 *)
   split : int * int;
@@ -21,146 +13,49 @@ type config = {
           [fst + snd] data packets, the first [fst] take path 1 and
           the rest path 2. [(k, 0)] sends everything on path 1 — the
           single-path arm the merged decode is compared against. *)
-  mss : int;
-  size_dist : Workload.size_dist;
-  min_units : int;
-  max_units : int;
-  arrival : Workload.arrival;
-  quack_every : int;
-  bits : int;
-  threshold : int;
-  count_bits : int;
-  seed : int;
-  until : Time.t;
+  size_dist : Netsim.Workload.size_dist;
 }
 
 let default_config =
   {
-    flows = 40;
-    table_flows = 40;
-    near = Path.segment ~rate_bps:100_000_000 ~delay:(Time.ms 10) ();
+    common = Harness.default ~arrival:Harness.flash_crowd;
     far_1 = Path.cellular;
     far_2 = Path.congested_cell;
     split = (1, 1);
-    mss = 1460;
-    size_dist = Workload.web_flows;
-    min_units = 200;
-    max_units = 2000;
-    arrival = Workload.Flash_crowd
-        { base_mean_s = 0.05; at_s = 0.4; crowd = 16; spread_s = 0.05 };
-    quack_every = 16;
-    bits = 32;
-    threshold = 16;
-    count_bits = 16;
-    seed = 1;
-    until = Time.s 180;
+    size_dist = Netsim.Workload.web_flows;
   }
 
 type report = {
-  flows : int;
-  completed : int;
-  fct_p50 : float;
-  fct_p95 : float;
-  fct_p99 : float;
-  fct_mean : float;
-  data_delivered_bytes : int;
+  summary : Harness.summary;
   proxy_1 : Proxy.stats;
   proxy_2 : Proxy.stats;
   path1_pkts : int;
   path2_pkts : int;
   folded_decodes : int;  (** sender decodes fed a [Psum.merge] fold *)
-  srv_resyncs : int;
   srv_replays_dropped : int;
-  retransmissions : int;
-  timeouts : int;
-  duplicates : int;
-  sim_end : Time.t;
 }
 
 let run (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Multipath.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Multipath.run: bad unit bounds";
+  let c = cfg.common in
+  Harness.check ~family:"Multipath" c;
   let share_1, share_2 = cfg.split in
   if share_1 < 0 || share_2 < 0 || share_1 + share_2 = 0 then
     invalid_arg "Multipath.run: bad split shares";
   let cycle = share_1 + share_2 in
-  let { Path.engine; fwd; rev } =
-    Path.build ~seed:cfg.seed [ cfg.near; cfg.far_1; cfg.far_2 ]
-  in
-  let n = cfg.flows in
-
-  (* ---- workload --------------------------------------------------- *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        let u = Workload.sample_size wl_rng cfg.size_dist in
-        max cfg.min_units (min cfg.max_units u))
-  in
-  let start_at =
-    Array.map Time.of_float_s (Workload.arrival_times wl_rng cfg.arrival ~n)
-  in
-
-  (* ---- the two path sidecars -------------------------------------- *)
-  let mk_sidecar addr =
-    fst
-      (Migration.make
-         {
-           Migration.addr;
-           bits = cfg.bits;
-           threshold = cfg.threshold;
-           count_bits = cfg.count_bits;
-           quack_every = cfg.quack_every;
-           field = None;
-         })
-  in
-  let mk_proxy ~protocol ~forward =
-    Proxy.create engine ~capacity:cfg.table_flows ~policy:Flow_table.Lru
-      ~protocol ~forward
-      ~backward:(fun p -> ignore (Link.send rev.(2) p))
-      ()
-  in
-  let proxy_1 =
-    mk_proxy ~protocol:(mk_sidecar "path1")
-      ~forward:(fun p -> ignore (Link.send fwd.(1) p))
-  in
-  let proxy_2 =
-    mk_proxy ~protocol:(mk_sidecar "path2")
-      ~forward:(fun p -> ignore (Link.send fwd.(2) p))
-  in
-
-  (* ---- per-flow endpoints ----------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let senders =
-    Array.init n (fun i ->
+  let n = c.flows in
+  let h =
+    Harness.create c ~far:[ cfg.far_1; cfg.far_2 ]
+      ~sizes:(Harness.Dist cfg.size_dist) ~id_base:0x517E
         (* cross-path delay disparity reorders deeply; loss detection
            leans on the folded quACK decode and the PTO, not dupacks *)
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~pkt_threshold:1024
-          ~id_key:(Q.Identifier.key_of_int (0x517E + i))
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id p.Packet.seq)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
+      ~pkt_threshold:1024
+        (* asymmetric routing: end-to-end ACKs take path 1's reverse
+           (path 2's when path 1 carries no data) *)
+      ~ack_link:(fun _ -> if share_1 > 0 then 1 else 0)
+      ()
   in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ~send_ack:(fun p ->
-            (* asymmetric routing: end-to-end ACKs take path 1's
-               reverse (path 2's when path 1 carries no data) *)
-            ignore (Link.send (if share_1 > 0 then rev.(1) else rev.(0)) p))
-          ())
-  in
+  let proxy_1, _ = Harness.sidecar h ~addr:"path1" ~far:1 () in
+  let proxy_2, _ = Harness.sidecar h ~addr:"path2" ~far:2 () in
 
   (* ---- the sender-side fold: two path quACKs -> one decode -------- *)
   (* Per flow, the latest cumulative quACK of each path. The fold
@@ -170,13 +65,12 @@ let run (cfg : config) =
      wraps the combined count to its wire width. *)
   let last_q1 : Q.Quack.t option array = Array.make n None in
   let last_q2 : Q.Quack.t option array = Array.make n None in
-  (* one guard per (flow, path): replays are per-emission-stream *)
-  let guards1 = Array.init n (fun _ -> Q.Replay_guard.create ()) in
+  (* one guard per (flow, path): replays are per-emission-stream;
+     path 1's are the harness's per-flow guards *)
   let guards2 = Array.init n (fun _ -> Q.Replay_guard.create ()) in
   let folded_decodes = ref 0 in
-  let srv_resyncs = ref 0 in
   let psum_of (q : Q.Quack.t) =
-    let p = Q.Psum.create ~bits:cfg.bits ~threshold:cfg.threshold () in
+    let p = Q.Psum.create ~bits:c.bits ~threshold:c.threshold () in
     Q.Psum.set_state p ~sums:q.Q.Quack.sums ~count:q.Q.Quack.count;
     p
   in
@@ -187,23 +81,13 @@ let run (cfg : config) =
     | Some q1, Some q2 ->
         incr folded_decodes;
         let merged = Q.Psum.merge (psum_of q1) (psum_of q2) in
-        Some (Q.Quack.of_psum ~count_bits:cfg.count_bits merged)
-  in
-  let on_srv_report i quack =
-    match Q.Sender_state.on_quack srv_ss.(i) quack with
-    | Ok rep when not rep.Q.Sender_state.stale -> (
-        match rep.Q.Sender_state.acked with
-        | [] -> ()
-        | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs))
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) ->
-        incr srv_resyncs;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    | Error (`Config_mismatch _) -> ()
+        Some (Q.Quack.of_psum ~count_bits:c.count_bits merged)
   in
   let on_server_quack i ~src ~index quack =
     let guard, slot =
-      match src with "path1" -> (guards1.(i), last_q1) | _ -> (guards2.(i), last_q2)
+      match src with
+      | "path1" -> (h.Harness.guards.(i), last_q1)
+      | _ -> (guards2.(i), last_q2)
     in
     match Q.Replay_guard.classify guard ~index quack with
     | Q.Replay_guard.Replay ->
@@ -216,30 +100,29 @@ let run (cfg : config) =
         match fold i with
         | None -> ()
         | Some folded ->
-            if verdict = Q.Replay_guard.Regression then begin
-              (* one path's sidecar state restarted (eviction +
-                 re-admission): its fresh baseline makes the fold
-                 undecodable against ours, so adopt it (§3.3) *)
-              incr srv_resyncs;
-              ignore (Q.Sender_state.resync_to srv_ss.(i) folded)
-            end
-            else on_srv_report i folded)
+            (* a regression: one path's sidecar state restarted
+               (eviction + re-admission), and its fresh baseline makes
+               the fold undecodable against ours, so adopt it (§3.3) *)
+            ignore
+              (if verdict = Q.Replay_guard.Regression then
+                 Harness.resync h i folded
+               else Harness.apply h i folded))
   in
+  Link.set_deliver h.Harness.rev.(2) (fun p ->
+      match p.Packet.payload with
+      | Sframes.Quack_frame { quack; src; dst = "server"; index } ->
+          if Harness.owns h p then
+            on_server_quack p.Packet.flow ~src ~index quack
+      | _ -> Harness.deliver_ack h p);
 
-  (* ---- wiring ------------------------------------------------------ *)
-  let delivered_bytes = ref 0 in
-  let count_delivered p =
-    delivered_bytes := !delivered_bytes + p.Packet.size
-  in
-  Link.set_tap fwd.(1) count_delivered;
-  Link.set_tap fwd.(2) count_delivered;
-  (* splitter: a deterministic per-flow cycle over the two branches *)
+  (* ---- the splitter: a deterministic per-flow cycle over the two
+     branches ---------------------------------------------------------- *)
   let split_pos = Array.make n 0 in
   let path1_pkts = ref 0 in
   let path2_pkts = ref 0 in
-  Link.set_deliver fwd.(0) (fun p ->
-      let f = p.Packet.flow in
-      if f >= 0 && f < n then begin
+  Link.set_deliver h.Harness.fwd.(0) (fun p ->
+      if Harness.owns h p then begin
+        let f = p.Packet.flow in
         let pos = split_pos.(f) in
         split_pos.(f) <- (pos + 1) mod cycle;
         if pos < share_1 then begin
@@ -251,118 +134,40 @@ let run (cfg : config) =
           Proxy.on_ingress proxy_2 p
         end
       end);
-  let deliver_client p =
-    if p.Packet.flow >= 0 && p.Packet.flow < n then
-      Transport.Receiver.deliver receivers.(p.Packet.flow) p
-  in
-  Link.set_deliver fwd.(1) deliver_client;
-  Link.set_deliver fwd.(2) deliver_client;
-  Link.set_deliver rev.(1) (Proxy.on_return proxy_1);
-  Link.set_deliver rev.(0) (Proxy.on_return proxy_2);
-  Link.set_deliver rev.(2) (fun p ->
-      match p.Packet.payload with
-      | Sframes.Quack_frame { quack; src; dst = "server"; index } ->
-          if p.Packet.flow >= 0 && p.Packet.flow < n then
-            on_server_quack p.Packet.flow ~src ~index quack
-      | _ ->
-          if p.Packet.flow >= 0 && p.Packet.flow < n then
-            Transport.Sender.deliver_ack senders.(p.Packet.flow) p);
-
-  (* ---- run ---------------------------------------------------------- *)
-  let flow_done i = Transport.Receiver.complete_at receivers.(i) <> None in
-  let release_slots i =
-    ignore (Proxy.release proxy_1 i);
-    ignore (Proxy.release proxy_2 i)
-  in
-  let rec reap i () =
-    if flow_done i then release_slots i
-    else if Engine.now engine < cfg.until then
-      Engine.schedule engine ~delay:(Time.ms 500) (reap i)
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          Engine.schedule engine ~delay:(Time.ms 500) (reap i)))
-    start_at;
-  Engine.run ~until:cfg.until engine;
-
-  (* ---- summary ----------------------------------------------------- *)
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  let completed = ref 0 in
-  let retransmissions = ref 0 in
-  let timeouts = ref 0 in
-  let duplicates = ref 0 in
-  for i = 0 to n - 1 do
-    let st = Transport.Sender.stats senders.(i) in
-    retransmissions := !retransmissions + st.Transport.Sender.retransmissions;
-    timeouts := !timeouts + st.Transport.Sender.timeouts;
-    duplicates := !duplicates + Transport.Receiver.duplicates receivers.(i);
-    match Transport.Receiver.complete_at receivers.(i) with
-    | Some at ->
-        incr completed;
-        let fct = Time.to_float_s (Time.diff at start_at.(i)) in
-        Stats.Quantiles.add qs fct;
-        Stats.Summary.add summary fct
-    | None -> ()
-  done;
+  let summary = Harness.run h ~release:[ proxy_1; proxy_2 ] () in
   {
-    flows = n;
-    completed = !completed;
-    fct_p50 = (if !completed = 0 then Float.nan else Stats.Quantiles.p50 qs);
-    fct_p95 = (if !completed = 0 then Float.nan else Stats.Quantiles.p95 qs);
-    fct_p99 = (if !completed = 0 then Float.nan else Stats.Quantiles.p99 qs);
-    fct_mean = (if !completed = 0 then Float.nan else Stats.Summary.mean summary);
-    data_delivered_bytes = !delivered_bytes;
+    summary;
     proxy_1 = Proxy.stats proxy_1;
     proxy_2 = Proxy.stats proxy_2;
     path1_pkts = !path1_pkts;
     path2_pkts = !path2_pkts;
     folded_decodes = !folded_decodes;
-    srv_resyncs = !srv_resyncs;
     srv_replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards1
+      Harness.replays_dropped h
       + Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards2;
-    retransmissions = !retransmissions;
-    timeouts = !timeouts;
-    duplicates = !duplicates;
-    sim_end = Engine.now engine;
   }
 
 let json_report (r : report) =
-  Obs.Json.Obj
-    [
-      ("flows", Obs.Json.Int r.flows);
-      ("completed", Obs.Json.Int r.completed);
-      ("fct_p50_s", Obs.Json.Float r.fct_p50);
-      ("fct_p95_s", Obs.Json.Float r.fct_p95);
-      ("fct_p99_s", Obs.Json.Float r.fct_p99);
-      ("fct_mean_s", Obs.Json.Float r.fct_mean);
-      ("data_delivered_bytes", Obs.Json.Int r.data_delivered_bytes);
-      ("proxy_1", Scenario.json_proxy_stats r.proxy_1);
-      ("proxy_2", Scenario.json_proxy_stats r.proxy_2);
-      ("path1_pkts", Obs.Json.Int r.path1_pkts);
-      ("path2_pkts", Obs.Json.Int r.path2_pkts);
-      ("folded_decodes", Obs.Json.Int r.folded_decodes);
-      ("srv_resyncs", Obs.Json.Int r.srv_resyncs);
-      ("srv_replays_dropped", Obs.Json.Int r.srv_replays_dropped);
-      ("retransmissions", Obs.Json.Int r.retransmissions);
-      ("timeouts", Obs.Json.Int r.timeouts);
-      ("duplicates", Obs.Json.Int r.duplicates);
-      ("sim_end_ns", Obs.Json.Int r.sim_end);
-    ]
+  Harness.json r.summary ~head:[]
+    ~body:
+      [
+        ("proxy_1", Scenario.json_proxy_stats r.proxy_1);
+        ("proxy_2", Scenario.json_proxy_stats r.proxy_2);
+        ("path1_pkts", Obs.Json.Int r.path1_pkts);
+        ("path2_pkts", Obs.Json.Int r.path2_pkts);
+        ("folded_decodes", Obs.Json.Int r.folded_decodes);
+      ]
+    ~replays_dropped:r.srv_replays_dropped ~duplicates:"duplicates" ()
 
 let pp_report ppf (r : report) =
+  let s = r.summary in
   Format.fprintf ppf
-    "@[<v>multipath: %d/%d completed by %a@,\
-     fct p50 %.3fs p95 %.3fs p99 %.3fs mean %.3fs@,\
+    "@[<v>multipath: %a@,\
      split %d/%d pkts, %d folded decodes, %d server resyncs (%d replays \
      dropped)@,\
      retx %d, timeouts %d, duplicates %d@,\
      path 1: %a@,path 2: %a@,delivered %d B@]"
-    r.completed r.flows Time.pp r.sim_end r.fct_p50 r.fct_p95 r.fct_p99
-    r.fct_mean r.path1_pkts r.path2_pkts r.folded_decodes r.srv_resyncs
-    r.srv_replays_dropped r.retransmissions r.timeouts r.duplicates
-    Scenario.pp_proxy_stats r.proxy_1
-    Scenario.pp_proxy_stats r.proxy_2 r.data_delivered_bytes
+    (Harness.pp_outcome ~wedged:false) s r.path1_pkts r.path2_pkts
+    r.folded_decodes s.srv_resyncs r.srv_replays_dropped s.retransmissions
+    s.timeouts s.duplicates Scenario.pp_proxy_stats r.proxy_1
+    Scenario.pp_proxy_stats r.proxy_2 s.delivered_bytes

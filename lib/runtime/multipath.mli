@@ -25,25 +25,13 @@
     tested against. Deterministic: a pure function of [config]. *)
 
 type config = {
-  flows : int;
-  table_flows : int;
-  near : Sidecar_protocols.Path.segment;
+  common : Harness.common;  (** [near] is server -> splitter *)
   far_1 : Sidecar_protocols.Path.segment;
   far_2 : Sidecar_protocols.Path.segment;
   split : int * int;
       (** of every [fst + snd] data packets of a flow, the first [fst]
           take path 1, the rest path 2 *)
-  mss : int;
   size_dist : Netsim.Workload.size_dist;
-  min_units : int;
-  max_units : int;
-  arrival : Netsim.Workload.arrival;
-  quack_every : int;
-  bits : int;
-  threshold : int;
-  count_bits : int;
-  seed : int;
-  until : Netsim.Sim_time.t;
 }
 
 val default_config : config
@@ -53,26 +41,15 @@ val default_config : config
     quACK fold's), flash-crowd arrivals, 40 flows. *)
 
 type report = {
-  flows : int;
-  completed : int;
-  fct_p50 : float;
-  fct_p95 : float;
-  fct_p99 : float;
-  fct_mean : float;
-  data_delivered_bytes : int;
+  summary : Harness.summary;
   proxy_1 : Proxy.stats;
   proxy_2 : Proxy.stats;
   path1_pkts : int;
   path2_pkts : int;
   folded_decodes : int;
-  srv_resyncs : int;
   srv_replays_dropped : int;
       (** re-delivered path emissions dropped by the per-path
           {!Sidecar_quack.Replay_guard} before touching the fold *)
-  retransmissions : int;
-  timeouts : int;
-  duplicates : int;
-  sim_end : Netsim.Sim_time.t;
 }
 
 val run : config -> report
@@ -80,7 +57,5 @@ val run : config -> report
     bounds, or negative/empty split shares. *)
 
 val json_report : report -> Obs.Json.t
-(** Schema-stable, wall-clock free: byte-identical for identical
-    configs regardless of jobs/shards. *)
 
 val pp_report : Format.formatter -> report -> unit

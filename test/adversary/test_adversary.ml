@@ -212,7 +212,12 @@ let test_bad_rates_rejected () =
 (* The scenario families, end to end.                                  *)
 
 let small cfg rate auth =
-  { cfg with A.flows = 8; table_flows = 8; attack_rate = rate; auth }
+  {
+    cfg with
+    A.common = { cfg.A.common with flows = 8; table_flows = 8 };
+    attack_rate = rate;
+    auth;
+  }
 
 let test_scenario_unauth_admits () =
   let r = A.run (small A.default_config 0.3 false) in
@@ -251,14 +256,19 @@ let test_scenario_rate0_is_clean () =
   checki "nothing malformed" 0 r.A.malformed
 
 let test_leakage_shaping_blinds () =
-  let base = { L.default_config with L.flows = 8; table_flows = 8 } in
+  let base =
+    {
+      L.default_config with
+      L.common = { L.default_config.L.common with flows = 8; table_flows = 8 };
+    }
+  in
   let unshaped = L.run { base with L.shape = false } in
   let shaped = L.run { base with L.shape = true } in
   checki "unshaped arm emits no dummies" 0 unshaped.L.dummy_quacks;
   checkb "shaped arm emits chaff" true (shaped.L.dummy_quacks > 0);
   checki "the guard absorbs exactly the chaff" shaped.L.dummy_quacks
     shaped.L.replays_dropped;
-  checki "chaff never corrupts the server" 0 shaped.L.srv_resyncs;
+  checki "chaff never corrupts the server" 0 shaped.L.summary.srv_resyncs;
   checkb "shaping reduces observer accuracy" true
     (shaped.L.observer_accuracy < unshaped.L.observer_accuracy);
   checkb "shaping costs bytes" true

@@ -276,32 +276,38 @@ let qcheck_transfer_equals_resync_lossfree =
     QCheck.(pair (1 -- 6) (0 -- 1000))
     (fun (flows, seed) ->
       let clean = Path.segment ~rate_bps:40_000_000 ~delay:(Time.ms 20) () in
+      let d = Handover.default_config in
       let base =
         {
-          Handover.default_config with
-          Handover.flows;
-          table_flows = flows;
+          d with
+          Handover.common =
+            {
+              d.Handover.common with
+              flows;
+              table_flows = flows;
+              min_units = 40;
+              max_units = 200;
+              seed;
+            };
           far_a = clean;
           far_b = clean;
-          min_units = 40;
-          max_units = 200;
           migrate_after = Time.ms 100;
-          seed;
         }
       in
       let r1 = Handover.run { base with Handover.strategy = Handover.Resync } in
       let r2 = Handover.run { base with Handover.strategy = Handover.Transfer } in
       let clean_arm (r : Handover.report) =
-        r.Handover.completed = flows
-        && r.Handover.retransmissions = 0
-        && r.Handover.timeouts = 0
-        && r.Handover.spurious_retx = 0
+        let s = r.Handover.summary in
+        s.completed = flows
+        && s.retransmissions = 0
+        && s.timeouts = 0
+        && s.duplicates = 0
       in
       if not (clean_arm r1) then
         QCheck.Test.fail_report "resync arm not loss-free clean";
       if not (clean_arm r2) then
         QCheck.Test.fail_report "transfer arm not loss-free clean";
-      r1.Handover.data_delivered_bytes = r2.Handover.data_delivered_bytes
+      r1.Handover.summary.delivered_bytes = r2.Handover.summary.delivered_bytes
       && r1.Handover.migrations = r2.Handover.migrations
       && r2.Handover.transfers = r2.Handover.migrations
       && r1.Handover.transfers = 0)
@@ -342,26 +348,26 @@ let snap_handover () =
   String.concat "\n"
     [
       "handover (Handover.run default_config)";
-      b "strategy=%s" (Handover.strategy_name r.Handover.strategy);
-      b "migrated=%b" r.Handover.migrated;
-      b "flows=%d" r.Handover.flows;
-      b "completed=%d" r.Handover.completed;
-      b "fct_p50=%h" r.Handover.fct_p50;
-      b "fct_p95=%h" r.Handover.fct_p95;
-      b "fct_p99=%h" r.Handover.fct_p99;
-      b "fct_mean=%h" r.Handover.fct_mean;
-      b "data_delivered_bytes=%d" r.Handover.data_delivered_bytes;
+      b "strategy=%s" (Handover.strategy_name r.Handover.config.strategy);
+      b "migrated=%b" r.Handover.config.migrate;
+      b "flows=%d" r.Handover.summary.flows;
+      b "completed=%d" r.Handover.summary.completed;
+      b "fct_p50=%h" r.Handover.summary.fct_p50;
+      b "fct_p95=%h" r.Handover.summary.fct_p95;
+      b "fct_p99=%h" r.Handover.summary.fct_p99;
+      b "fct_mean=%h" r.Handover.summary.fct_mean;
+      b "data_delivered_bytes=%d" r.Handover.summary.delivered_bytes;
       proxy_snap "proxy_a" r.Handover.proxy_a;
       proxy_snap "proxy_b" r.Handover.proxy_b;
       b "migrations=%d" r.Handover.migrations;
       b "transfers=%d" r.Handover.transfers;
       b "transfer_bytes=%d" r.Handover.transfer_bytes;
       b "install_merges=%d" r.Handover.install_merges;
-      b "srv_resyncs=%d" r.Handover.srv_resyncs;
-      b "retransmissions=%d" r.Handover.retransmissions;
-      b "timeouts=%d" r.Handover.timeouts;
-      b "spurious_retx=%d" r.Handover.spurious_retx;
-      b "sim_end=%d" r.Handover.sim_end;
+      b "srv_resyncs=%d" r.Handover.summary.srv_resyncs;
+      b "retransmissions=%d" r.Handover.summary.retransmissions;
+      b "timeouts=%d" r.Handover.summary.timeouts;
+      b "spurious_retx=%d" r.Handover.summary.duplicates;
+      b "sim_end=%d" r.Handover.summary.sim_end;
     ]
   ^ "\n"
 
@@ -370,23 +376,23 @@ let snap_multipath () =
   String.concat "\n"
     [
       "multipath (Multipath.run default_config)";
-      b "flows=%d" r.Multipath.flows;
-      b "completed=%d" r.Multipath.completed;
-      b "fct_p50=%h" r.Multipath.fct_p50;
-      b "fct_p95=%h" r.Multipath.fct_p95;
-      b "fct_p99=%h" r.Multipath.fct_p99;
-      b "fct_mean=%h" r.Multipath.fct_mean;
-      b "data_delivered_bytes=%d" r.Multipath.data_delivered_bytes;
+      b "flows=%d" r.Multipath.summary.flows;
+      b "completed=%d" r.Multipath.summary.completed;
+      b "fct_p50=%h" r.Multipath.summary.fct_p50;
+      b "fct_p95=%h" r.Multipath.summary.fct_p95;
+      b "fct_p99=%h" r.Multipath.summary.fct_p99;
+      b "fct_mean=%h" r.Multipath.summary.fct_mean;
+      b "data_delivered_bytes=%d" r.Multipath.summary.delivered_bytes;
       proxy_snap "proxy_1" r.Multipath.proxy_1;
       proxy_snap "proxy_2" r.Multipath.proxy_2;
       b "path1_pkts=%d" r.Multipath.path1_pkts;
       b "path2_pkts=%d" r.Multipath.path2_pkts;
       b "folded_decodes=%d" r.Multipath.folded_decodes;
-      b "srv_resyncs=%d" r.Multipath.srv_resyncs;
-      b "retransmissions=%d" r.Multipath.retransmissions;
-      b "timeouts=%d" r.Multipath.timeouts;
-      b "duplicates=%d" r.Multipath.duplicates;
-      b "sim_end=%d" r.Multipath.sim_end;
+      b "srv_resyncs=%d" r.Multipath.summary.srv_resyncs;
+      b "retransmissions=%d" r.Multipath.summary.retransmissions;
+      b "timeouts=%d" r.Multipath.summary.timeouts;
+      b "duplicates=%d" r.Multipath.summary.duplicates;
+      b "sim_end=%d" r.Multipath.summary.sim_end;
     ]
   ^ "\n"
 
