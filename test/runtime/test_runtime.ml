@@ -384,6 +384,23 @@ let prop_eviction_never_corrupts =
       r.Scenario.completed = 12
       && r.Scenario.peak_occupancy <= table_flows)
 
+(* Scenario.run rejects a bad config before it builds anything, each
+   with its own message. *)
+let test_scenario_rejects_bad_configs () =
+  let base = Scenario.default_config in
+  let rejects msg cfg =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (Scenario.run cfg))
+  in
+  rejects "Scenario.run: need at least one flow" { base with Scenario.flows = 0 };
+  rejects "Scenario.run: bad unit bounds" { base with Scenario.min_units = 0 };
+  rejects "Scenario.run: bad unit bounds"
+    { base with Scenario.min_units = 10; max_units = 9 };
+  rejects "Scenario.run: client quack interval must be positive"
+    { base with Scenario.client_quack_every = 0 };
+  rejects "Scenario.run: keepalive must be positive"
+    { base with Scenario.keepalive = 0 }
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sidecar_runtime"
@@ -416,6 +433,8 @@ let () =
             test_scenario_field_differential;
           Alcotest.test_case "wire datapath checksums" `Quick
             test_wire_datapath_checksums;
+          Alcotest.test_case "rejects bad configs" `Quick
+            test_scenario_rejects_bad_configs;
           qt prop_eviction_never_corrupts;
         ] );
       ( "scenario-protocols",

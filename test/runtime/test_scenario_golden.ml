@@ -1,8 +1,8 @@
 (* Golden pins for the many-flow scenario: [Scenario.json_report] of
-   five 200-flow runs at the default seed (four with the default
-   64-slot table, one with 16 slots), each followed by one row per
+   nine 200-flow runs at the default seed, each followed by one row per
    flow, compared byte for byte with fixtures committed before any
-   per-packet optimisation.
+   per-packet optimisation (the first five) or before the run moved
+   onto the shared scenario harness (the last four).
 
    The "deterministic at 200 flows" cases in test_runtime compare two
    runs of the same build; these fixtures pin multi-flow behaviour
@@ -14,6 +14,7 @@
 *)
 
 module Scenario = Sidecar_runtime.Scenario
+module Time = Netsim.Sim_time
 
 let base = Scenario.default_config
 
@@ -28,6 +29,16 @@ let fixtures =
     (* A 16-slot table under the same arrivals: eviction churn, degraded
        quACKs and re-admission resyncs. *)
     ("scenario_cc_table16", { base with Scenario.table_flows = 16 });
+    (* Idle eviction: the periodic sweep runs beside the keepalives. *)
+    ( "scenario_cc_idle",
+      { base with Scenario.policy = Sidecar_runtime.Flow_table.Idle (Time.ms 50) } );
+    (* The retransmission pair at a fixed quACK interval. *)
+    ("scenario_retx_fixed", { base with Scenario.protocol = `Retx; adaptive = false });
+    (* ACK reduction with no sidecar state at all: pure end to end. *)
+    ("scenario_ack_table0", { base with Scenario.protocol = `Ack; table_flows = 0 });
+    (* A horizon before any flow can finish: no completed flow, so the
+       FCT mean reads 0 and the percentiles NaN. *)
+    ("scenario_cc_short", { base with Scenario.until = Time.ms 48 });
   ]
 
 (* The JSON report summarises flows to a count, so every flow's row

@@ -1,4 +1,5 @@
-(* Golden behaviour pins for the three single-flow sidecar protocols.
+(* Golden behaviour pins for the three single-flow sidecar protocols,
+   their no-sidecar baselines, and the two-flow fairness experiment.
 
    Each fixture under golden/ is a canonical rendering of the full
    default-config report (every field, exact integers, hex floats) for
@@ -83,6 +84,41 @@ let snap_rx () =
     ]
   ^ "\n"
 
+(* The baselines: the same paths with plain junctions. *)
+let snap_baseline name flow = String.concat "\n" [ name; flow_snap flow ] ^ "\n"
+
+let snap_base_cc () =
+  snap_baseline "baseline_cc (Cc_division.baseline default_config)"
+    (Cc_division.baseline Cc_division.default_config)
+
+let snap_base_ar () =
+  let flow, ack_bytes = Ack_reduction.baseline Ack_reduction.default_config in
+  snap_baseline "baseline_ar (Ack_reduction.baseline default_config)" flow
+  ^ b "ack_bytes=%d\n" ack_bytes
+
+let snap_base_rx () =
+  snap_baseline "baseline_rx (Retransmission.baseline default_config)"
+    (Retransmission.baseline Retransmission.default_config)
+
+let snap_fairness () =
+  let r = Fairness.run Fairness.default_config in
+  String.concat "\n"
+    ("fairness (Fairness.run default_config)"
+    :: Array.to_list
+         (Array.mapi
+            (fun i (f : Fairness.flow_result) ->
+              Printf.sprintf
+                "flow=%d fct=%s goodput_mbps=%h retransmissions=%d \
+                 congestion_events=%d"
+                i (span_opt f.Fairness.fct) f.Fairness.goodput_mbps
+                f.Fairness.retransmissions f.Fairness.congestion_events)
+            r.Fairness.flows)
+    @ [
+        b "jain_index=%h" r.Fairness.jain_index;
+        b "total_goodput_mbps=%h" r.Fairness.total_goodput_mbps;
+      ])
+  ^ "\n"
+
 (* ------------------------------------------------------------------ *)
 (* JSON schema pins: the machine-readable report shapes are part of
    the interface (CI's benchcheck and downstream replotting parse
@@ -96,6 +132,10 @@ let fixtures =
     ("proto_cc", snap_cc);
     ("proto_ar", snap_ar);
     ("proto_rx", snap_rx);
+    ("baseline_cc", snap_base_cc);
+    ("baseline_ar", snap_base_ar);
+    ("baseline_rx", snap_base_rx);
+    ("fairness", snap_fairness);
     ( "schema_cc",
       schema_snap (fun () ->
           Cc_division.json_report (Cc_division.run Cc_division.default_config)) );
