@@ -21,6 +21,3 @@ let monte_carlo ?(seed = 42) ~trials ~n ~bits () =
     if !collided then incr hits
   done;
   Float.of_int !hits /. Float.of_int trials
-
-let expected_indeterminate ~n ~bits ~missing =
-  Float.of_int missing *. probability ~n ~bits

@@ -16,7 +16,3 @@ val monte_carlo :
 (** Empirical estimate: draw [n] identifiers uniformly, check whether
     a distinguished one collides; repeat [trials] times. Used by tests
     to validate {!probability} at small [b]. *)
-
-val expected_indeterminate : n:int -> bits:int -> missing:int -> float
-(** Expected number of missing packets with indeterminate fate per
-    decode: [missing * probability]. *)

@@ -2,11 +2,6 @@ module Sha256 = Sidecar_hash.Sha256
 
 type verdict = Fresh | Replay | Regression
 
-let verdict_name = function
-  | Fresh -> "fresh"
-  | Replay -> "replay"
-  | Regression -> "regression"
-
 type t = {
   depth : int;
   (* (index, digest) of recently accepted quACKs; empty slots hold

@@ -26,8 +26,6 @@ type verdict =
   | Replay  (** seen before, byte-identical: drop, do not resync *)
   | Regression  (** index regressed with novel contents: resync (§3.3) *)
 
-val verdict_name : verdict -> string
-
 type t
 
 val create : ?depth:int -> unit -> t

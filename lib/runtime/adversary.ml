@@ -3,6 +3,7 @@ module Packet = Netsim.Packet
 module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
 module Adv = Sidecar_protocols.Adversary
+module Seam = Sidecar_protocols.Server_seam
 
 type config = {
   auth : bool;
@@ -100,11 +101,11 @@ let run (cfg : config) =
      without authentication the seam adopts the forgery as the new
      baseline. *)
   let attribute ~foreign ~hostile = function
-    | Harness.Applied -> if foreign then incr attacker_admitted
-    | Harness.Resynced ->
+    | Seam.Applied -> if foreign then incr attacker_admitted
+    | Seam.Resynced ->
         if hostile then incr attacker_resyncs;
         if foreign then incr attacker_admitted
-    | Harness.Ignored -> ()
+    | Seam.Ignored -> ()
   in
   let on_sealed i ~index ~origin ~tag ~wire =
     if cfg.auth && not (Q.Wire.verify_tag ~key ~flow:i ~index ~tag wire) then

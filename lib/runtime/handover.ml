@@ -3,7 +3,6 @@ module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
 module Path = Sidecar_protocols.Path
-module Sframes = Sidecar_protocols.Sframes
 module Migration = Sidecar_protocols.Migration
 
 type strategy = Resync | Transfer
@@ -68,14 +67,9 @@ let run (cfg : config) =
       if Harness.owns h p then
         if on_a.(p.Packet.flow) then Proxy.on_ingress proxy_a p
         else Proxy.on_ingress proxy_b p);
-  Link.set_deliver h.Harness.rev.(2) (fun p ->
-      match p.Packet.payload with
-      | Sframes.Quack_frame { quack; dst = "server"; index; _ } ->
-          (* under [Resync], sidecar B's first fresh quACK after the
-             handover is the regression the guard resyncs on *)
-          if Harness.owns h p then
-            ignore (Harness.receive h p.Packet.flow ~index quack)
-      | _ -> Harness.deliver_ack h p);
+  (* the server end is the harness's: under [Resync], sidecar B's first
+     fresh quACK after the handover is the regression its replay guard
+     resyncs on *)
 
   (* ---- the migration event ---------------------------------------- *)
   let migrations = ref 0 in

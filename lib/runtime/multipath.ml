@@ -86,7 +86,7 @@ let run (cfg : config) =
   let on_server_quack i ~src ~index quack =
     let guard, slot =
       match src with
-      | "path1" -> (h.Harness.guards.(i), last_q1)
+      | "path1" -> (Sidecar_protocols.Server_seam.guard h.Harness.seam i, last_q1)
       | _ -> (guards2.(i), last_q2)
     in
     match Q.Replay_guard.classify guard ~index quack with

@@ -87,9 +87,6 @@ val start : t -> until:Netsim.Sim_time.t -> unit
     [on_timer] runs for each tracked flow (most-recently-used first).
     A no-op for timerless protocols. *)
 
-val flow_info : t -> int -> Sidecar_protocols.Protocol.info option
-(** Side-effect-free snapshot of one tracked flow (does not touch LRU
-    recency); [None] when untracked. *)
 
 val release : t -> int -> bool
 (** Voluntarily drop a completed flow's state; frees its table slot

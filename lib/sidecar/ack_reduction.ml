@@ -1,5 +1,3 @@
-module Engine = Netsim.Engine
-module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
 module Q = Sidecar_quack
@@ -66,25 +64,12 @@ let json_report r =
 
 let baseline cfg =
   let ack_bytes = ref 0 in
-  let { Path.engine; fwd; rev } = Path.build ~seed:cfg.seed [ cfg.near; cfg.far ] in
-  Link.set_deliver fwd.(0) (fun p -> ignore (Link.send fwd.(1) p));
-  Link.set_deliver rev.(0) (fun p ->
-      ack_bytes := !ack_bytes + p.Packet.size;
-      ignore (Link.send rev.(1) p));
-  let sender =
-    Transport.Sender.create engine ~mss:cfg.mss ~total_units:cfg.units
-      ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-      ()
+  let flow =
+    Path.baseline ~seed:cfg.seed ~units:cfg.units ~mss:cfg.mss ~until:cfg.until
+      ~ack_tap:(fun p -> ack_bytes := !ack_bytes + p.Packet.size)
+      [ cfg.near; cfg.far ]
   in
-  let receiver =
-    Transport.Receiver.create engine ~ack_every:2 ~total_units:cfg.units
-      ~send_ack:(fun p -> ignore (Link.send rev.(0) p))
-      ()
-  in
-  Link.set_deliver fwd.(1) (Transport.Receiver.deliver receiver);
-  Link.set_deliver rev.(1) (Transport.Sender.deliver_ack sender);
-  let result = Transport.Flow.run engine ~sender ~receiver ~until:cfg.until () in
-  (result, !ack_bytes)
+  (flow, !ack_bytes)
 
 let run cfg =
   let quacks = ref 0 in
@@ -95,28 +80,29 @@ let run cfg =
   (* ---- server sidecar -------------------------------------------- *)
   (* meta: the packet seq, so quACK-acked ids map back to window
      entries for the provisional release. *)
-  let server_ss =
-    Q.Sender_state.create
+  let seam =
+    Server_seam.create
       { Q.Sender_state.default_config with bits = cfg.bits; threshold = cfg.threshold }
+      ~flows:1
   in
-  let on_transmit p = Q.Sender_state.on_send server_ss ~id:p.Packet.id p.Packet.seq in
-  let server_quack ~sender ~index (q : Q.Quack.t) =
-    (* Count-omitted mode (§4.3): the proxy quACKs every [n] packets,
-       so the [index]-th quACK stands for an implicit count of
-       [n * index] — robust to lost quACKs because the sums are
-       cumulative. *)
-    let q =
-      if cfg.omit_count then { q with Q.Quack.count = cfg.quack_every * index }
-      else q
+  let on_transmit p = Server_seam.on_send seam 0 ~id:p.Packet.id p.Packet.seq in
+  let server_quack ~sender =
+    let credit _ rep =
+      freed_early :=
+        !freed_early
+        + Transport.Sender.sidecar_ack sender ~seqs:rep.Q.Sender_state.acked
     in
-    incr quacks;
-    match Q.Sender_state.on_quack server_ss q with
-    | Ok rep when not rep.Q.Sender_state.stale ->
-        let seqs = rep.Q.Sender_state.acked in
-        freed_early := !freed_early + Transport.Sender.sidecar_ack sender ~seqs
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) -> ignore (Q.Sender_state.resync_to server_ss q)
-    | Error (`Config_mismatch _) -> ()
+    fun ~index (q : Q.Quack.t) ->
+      (* Count-omitted mode (§4.3): the proxy quACKs every [n] packets,
+         so the [index]-th quACK stands for an implicit count of
+         [n * index] — robust to lost quACKs because the sums are
+         cumulative. *)
+      let q =
+        if cfg.omit_count then { q with Q.Quack.count = cfg.quack_every * index }
+        else q
+      in
+      incr quacks;
+      ignore (Server_seam.apply seam 0 q ~fresh:credit)
   in
 
   (* ---- proxy ------------------------------------------------------ *)

@@ -7,12 +7,6 @@ module Wire = Sidecar_quack.Wire
 
 type origin = Proxy | Forged | Replayed | Tampered
 
-let origin_name = function
-  | Proxy -> "proxy"
-  | Forged -> "forged"
-  | Replayed -> "replayed"
-  | Tampered -> "tampered"
-
 type Packet.payload +=
   | Sealed of { wire : string; tag : string; index : int; origin : origin }
 

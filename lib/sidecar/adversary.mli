@@ -32,8 +32,6 @@ type origin =
   | Replayed  (** byte-for-byte re-emission of a genuine quACK *)
   | Tampered  (** genuine bytes, truncated or bit-flipped in flight *)
 
-val origin_name : origin -> string
-
 type Netsim.Packet.payload +=
   | Sealed of {
       wire : string;  (** framed quACK bytes ({!Sidecar_quack.Wire.encode_framed}) *)

@@ -84,31 +84,31 @@ let run cfg =
   in
   let quacks_from_client = ref 0 in
   let client_quack_bytes = ref 0 in
-  let server_decode_failures = ref 0 in
 
   (* ---- server sidecar -------------------------------------------- *)
-  let server_ss =
-    Q.Sender_state.create
+  (* meta: the packet size, so a decode credits acked bytes. Both ends
+     share [bits] and [threshold], so no quACK mismatches its config:
+     every decode failure is a threshold resync. *)
+  let seam =
+    Server_seam.create
       { Q.Sender_state.default_config with bits = cfg.bits; threshold = cfg.threshold }
+      ~flows:1
   in
-  let on_transmit p =
-    Q.Sender_state.on_send server_ss ~id:p.Packet.id p.Packet.size
-  in
-  let server_quack ~sender ~index:_ q =
-    match Q.Sender_state.on_quack server_ss q with
-    | Ok rep when not rep.Q.Sender_state.stale ->
-        let acked_bytes = List.fold_left ( + ) 0 rep.Q.Sender_state.acked in
-        if rep.Q.Sender_state.lost <> [] then
-          Transport.Sender.external_congestion sender;
-        if acked_bytes > 0 then
-          Transport.Sender.external_ack sender ~acked_bytes ~rtt:None
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) ->
-        incr server_decode_failures;
-        ignore (Q.Sender_state.resync_to server_ss q);
-        (* conservative: treat as congestion; e2e ACKs keep reliability *)
-        Transport.Sender.external_congestion sender
-    | Error (`Config_mismatch _) -> incr server_decode_failures
+  let on_transmit p = Server_seam.on_send seam 0 ~id:p.Packet.id p.Packet.size in
+  let server_quack ~sender =
+    let credit _ rep =
+      let acked_bytes = List.fold_left ( + ) 0 rep.Q.Sender_state.acked in
+      if rep.Q.Sender_state.lost <> [] then
+        Transport.Sender.external_congestion sender;
+      if acked_bytes > 0 then
+        Transport.Sender.external_ack sender ~acked_bytes ~rtt:None
+    in
+    fun ~index:_ q ->
+      match Server_seam.apply seam 0 q ~fresh:credit with
+      | Server_seam.Resynced ->
+          (* conservative: treat as congestion; e2e ACKs keep reliability *)
+          Transport.Sender.external_congestion sender
+      | Server_seam.Applied | Server_seam.Ignored -> ()
   in
 
   (* ---- proxy ------------------------------------------------------ *)
@@ -196,5 +196,5 @@ let run cfg =
       + Obs.Metrics.Counter.get counters.Protocol.quack_bytes;
     proxy_buffer_peak = proxy_info.Protocol.buffer_peak;
     proxy_window_final = proxy_info.Protocol.window_bytes;
-    server_decode_failures = !server_decode_failures;
+    server_decode_failures = Server_seam.resyncs seam;
   }

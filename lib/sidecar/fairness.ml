@@ -178,16 +178,16 @@ let run cfg =
           })
   in
   let quack_idx = Array.make 2 0 in
-  let server_ss = Array.init 2 (fun _ ->
-      Q.Sender_state.create
-        { Q.Sender_state.default_config with threshold = cfg.threshold })
+  let seam =
+    Server_seam.create
+      { Q.Sender_state.default_config with threshold = cfg.threshold }
+      ~flows:2
   in
   let senders =
     Array.init 2 (fun i ->
         Transport.Sender.create engine ~mss:cfg.mss ~flow:i ~external_cc:true
           ~cc:(Transport.Newreno.create ~mss:wire ())
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send server_ss.(i) ~id:p.Packet.id p.Packet.size)
+          ~on_transmit:(fun p -> Server_seam.on_send seam i ~id:p.Packet.id p.Packet.size)
           ~total_units:cfg.units_per_flow
           ~egress:(fun p -> ignore (Link.send s2p.(i) p))
           ())
@@ -199,23 +199,24 @@ let run cfg =
           ~send_ack:(fun p -> ignore (Link.send c2p p))
           ())
   in
+  (* the server sidecar: a fresh decode drives the sender's external
+     congestion control; a resync counts as congestion *)
+  let credit i rep =
+    let bytes = List.fold_left ( + ) 0 rep.Q.Sender_state.acked in
+    if rep.Q.Sender_state.lost <> [] then
+      Transport.Sender.external_congestion senders.(i);
+    if bytes > 0 then
+      Transport.Sender.external_ack senders.(i) ~acked_bytes:bytes ~rtt:None
+  in
   for i = 0 to 1 do
     Link.set_deliver s2p.(i) (fun p -> flows.(i).Protocol.on_data p);
     Link.set_deliver p2s.(i) (fun p ->
         match p.Packet.payload with
         | Sframes.Quack_frame { quack; dst = "server"; _ } -> (
-            match Q.Sender_state.on_quack server_ss.(i) quack with
-            | Ok rep when not rep.Q.Sender_state.stale ->
-                let bytes = List.fold_left ( + ) 0 rep.Q.Sender_state.acked in
-                if rep.Q.Sender_state.lost <> [] then
-                  Transport.Sender.external_congestion senders.(i);
-                if bytes > 0 then
-                  Transport.Sender.external_ack senders.(i) ~acked_bytes:bytes
-                    ~rtt:None
-            | Ok _ -> ()
-            | Error _ ->
-                ignore (Q.Sender_state.resync_to server_ss.(i) quack);
-                Transport.Sender.external_congestion senders.(i))
+            match Server_seam.apply seam i quack ~fresh:credit with
+            | Server_seam.Resynced ->
+                Transport.Sender.external_congestion senders.(i)
+            | Server_seam.Applied | Server_seam.Ignored -> ())
         | _ -> Transport.Sender.deliver_ack senders.(i) p)
   done;
   Link.set_deliver p2c (fun p ->

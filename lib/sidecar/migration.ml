@@ -33,11 +33,9 @@ type handle = {
   modulus : int;
   live : (int, flow_state) Hashtbl.t;
   pending : (int, snapshot) Hashtbl.t;
-  mutable installs : int;
   mutable install_merges : int;
 }
 
-let installs h = h.installs
 let install_merges h = h.install_merges
 
 let snapshot h ~flow =
@@ -62,7 +60,6 @@ let install h ~flow s =
     invalid_arg "Migration.install: incompatible snapshot";
   if s.modulus <> h.modulus then
     invalid_arg "Migration.install: mismatched moduli";
-  h.installs <- h.installs + 1;
   match Hashtbl.find_opt h.live flow with
   | None ->
       (* Normal takeover: the control message beat the first migrated
@@ -97,7 +94,6 @@ let make cfg =
       modulus;
       live = Hashtbl.create 64;
       pending = Hashtbl.create 8;
-      installs = 0;
       install_merges = 0;
     }
   in

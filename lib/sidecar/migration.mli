@@ -59,9 +59,6 @@ val install : handle -> flow:int -> snapshot -> unit
     same guard family as [Psum.merge] and [Sender_state.resync_to]:
     adopting foreign-field sums would silently corrupt the sketch. *)
 
-val installs : handle -> int
-(** Snapshots accepted by {!install}. *)
-
 val install_merges : handle -> int
 (** The subset of installs that raced with migrated data and were
     folded into live state via [Psum.merge]. *)

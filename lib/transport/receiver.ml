@@ -8,7 +8,7 @@ type t = {
   flow : int;
   total_units : int;
   send_ack : Packet.t -> unit;
-  on_data : Packet.t -> unit;
+  mutable on_data : Packet.t -> unit;
   max_ack_delay : Time.span;
   max_ranges : int;
   id_key : Identifier.key;
@@ -23,7 +23,6 @@ type t = {
   mutable delayed_ack_armed : bool;
   mutable ack_timer_gen : int;
   mutable acks_sent : int;
-  mutable data_seen : int;
   mutable next_ack_seq : int;  (* seq space for ACK packets themselves *)
 }
 
@@ -52,7 +51,6 @@ let create engine ?(ack_every = 2) ?(max_ack_delay = Time.ms 25) ?(max_ranges = 
     delayed_ack_armed = false;
     ack_timer_gen = 0;
     acks_sent = 0;
-    data_seen = 0;
     next_ack_seq = 0;
   }
 
@@ -106,7 +104,6 @@ let arm_delayed_ack t =
 let deliver t (p : Packet.t) =
   match p.payload with
   | Frames.Data { offset } ->
-      t.data_seen <- t.data_seen + 1;
       t.on_data p;
       t.ranges <- insert_seq p.seq t.ranges;
       if p.seq > t.largest then t.largest <- p.seq;
@@ -123,6 +120,7 @@ let deliver t (p : Packet.t) =
       if t.since_ack >= t.ack_every then emit_ack t else arm_delayed_ack t
   | _ -> () (* non-data packets are not this connection's concern *)
 
+let set_on_data t f = t.on_data <- f
 let set_ack_every t k =
   if k < 1 then invalid_arg "Receiver.set_ack_every: must be >= 1";
   t.ack_every <- k
@@ -131,4 +129,3 @@ let received_units t = t.received_units
 let duplicates t = t.duplicates
 let complete_at t = t.complete_at
 let acks_sent t = t.acks_sent
-let data_packets_seen t = t.data_seen

@@ -27,6 +27,10 @@ val create :
 val deliver : t -> Netsim.Packet.t -> unit
 (** Entry point wired to the last downstream link. *)
 
+val set_on_data : t -> (Netsim.Packet.t -> unit) -> unit
+(** Replace the sidecar tap: for a tap that needs objects built after
+    the receiver. *)
+
 val set_ack_every : t -> int -> unit
 (** The ACK-frequency extension: change how often e2e ACKs are sent. *)
 
@@ -38,4 +42,3 @@ val complete_at : t -> Netsim.Sim_time.t option
 (** Time the last distinct unit arrived, once all have. *)
 
 val acks_sent : t -> int
-val data_packets_seen : t -> int

@@ -113,9 +113,6 @@ let srtt t = Rtt.srtt t.rtt
 let mss t = t.mss
 let total_units t = t.total_units
 
-let all_acked t =
-  t.stats.acked_units = t.total_units
-
 let retx_pop t =
   match t.retx_queue with
   | x :: rest ->
