@@ -131,7 +131,6 @@ let create ?(bits = 32) ?field ?(backend = `Auto) ?(batch = 16) ~slots
   }
 
 let bind_owner t = t.owner <- Some (Domain.self () :> int)
-let owner_id t = t.owner
 
 let check_owner t what =
   Invariant.check ~name:("slab-owner: " ^ what) (fun () ->

@@ -98,9 +98,6 @@ val bind_owner : t -> unit
     domain at init. Rebinding moves ownership (a whole-slab hand-off
     between rounds is legal; concurrent use never is). *)
 
-val owner_id : t -> int option
-(** The owning domain's id, when bound. *)
-
 (** {2 Storage access}
 
     For {!Psum_flat} (and tests): the raw arena views. [sums_vec] and

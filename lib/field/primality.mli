@@ -5,10 +5,6 @@ val is_prime : int -> bool
 (** [is_prime n] decides primality deterministically for
     [0 <= n < 3.3e24] (we only ever call it below [2^62]). *)
 
-val largest_prime_below : int -> int
-(** [largest_prime_below n] is the largest prime [< n].
-    @raise Invalid_argument when [n <= 2]. *)
-
 val largest_prime_in_bits : int -> int
 (** [largest_prime_in_bits b] is the largest prime expressible in [b]
     bits, i.e. the largest prime [< 2^b]. The paper's modulus choice

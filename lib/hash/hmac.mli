@@ -2,9 +2,6 @@
     host can reject forged feedback from an adversarial on-path
     element (one of the §5 open questions, made concrete). *)
 
-val min_tag_len : int
-(** Shortest tag a verifier may demand (8 bytes). *)
-
 val mac : key:string -> string -> string
 (** 32-byte tag over the message. Keys longer than 64 bytes are
     hashed first, per the RFC. *)

@@ -7,7 +7,6 @@ type ctx
 (** Streaming hash context. *)
 
 val init : unit -> ctx
-val feed_bytes : ctx -> bytes -> unit
 val feed_string : ctx -> string -> unit
 val feed_int64_le : ctx -> int64 -> unit
 (** Feed an integer as 8 little-endian bytes (used to hash packet

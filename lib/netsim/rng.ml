@@ -36,11 +36,3 @@ let int t bound =
 
 let float t = Random.State.float t 1.0
 let bool t ~p = Random.State.float t 1.0 < p
-
-let shuffle t a =
-  for i = Array.length a - 1 downto 1 do
-    let j = Random.State.int t (i + 1) in
-    let tmp = a.(i) in
-    a.(i) <- a.(j);
-    a.(j) <- tmp
-  done

@@ -29,5 +29,3 @@ val float : t -> float
 
 val bool : t -> p:float -> bool
 (** [true] with probability [p]. *)
-
-val shuffle : t -> 'a array -> unit

@@ -19,9 +19,7 @@ type cell =
   | C of Counter.t
   | G of Gauge.t
   | S of Stats.Summary.t
-  | Q of Stats.Quantiles.t
   | Isrc of (unit -> int)
-  | Fsrc of (unit -> float)
 
 type t = {
   mutable entries : (string * cell) list;  (* newest first *)
@@ -56,17 +54,9 @@ let summary t name =
   register t name (S s);
   s
 
-let quantiles t name =
-  let q = Stats.Quantiles.create () in
-  register t name (Q q);
-  q
-
 let attach_counter t name c = register t name (C c)
-let attach_gauge t name g = register t name (G g)
 let attach_summary t name s = register t name (S s)
-let attach_quantiles t name q = register t name (Q q)
 let int_source t name f = register t name (Isrc f)
-let float_source t name f = register t name (Fsrc f)
 
 let merge ~into src =
   (* Adopt the live cells — attach-style, no copying — in src's
@@ -86,9 +76,7 @@ let value_of_cell = function
   | C c -> Int (Counter.get c)
   | G g -> Float (Gauge.get g)
   | S s -> Summary s
-  | Q q -> Quantiles q
   | Isrc f -> Int (f ())
-  | Fsrc f -> Float (f ())
 
 let iter t f =
   List.iter (fun (name, cell) -> f name (value_of_cell cell)) (List.rev t.entries)

@@ -43,14 +43,11 @@ val create : unit -> t
 val counter : t -> string -> Counter.t
 val gauge : t -> string -> Gauge.t
 val summary : t -> string -> Stats.Summary.t
-val quantiles : t -> string -> Stats.Quantiles.t
 
 (** {2 Attach existing cells} *)
 
 val attach_counter : t -> string -> Counter.t -> unit
-val attach_gauge : t -> string -> Gauge.t -> unit
 val attach_summary : t -> string -> Stats.Summary.t -> unit
-val attach_quantiles : t -> string -> Stats.Quantiles.t -> unit
 
 val merge : into:t -> t -> unit
 (** [merge ~into src] attaches every one of [src]'s entries (the live
@@ -62,7 +59,6 @@ val int_source : t -> string -> (unit -> int) -> unit
 (** Register a read-on-demand integer (e.g. a queue depth or an
     existing mutable record field) without restructuring its owner. *)
 
-val float_source : t -> string -> (unit -> float) -> unit
 
 (** {2 Reading} *)
 

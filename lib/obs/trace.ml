@@ -58,7 +58,6 @@ let create ?(capacity = 4096) () =
 let enable t cat = t.mask <- t.mask lor bit cat
 let disable t cat = t.mask <- t.mask land lnot (bit cat)
 let enable_all t = t.mask <- List.fold_left (fun m c -> m lor bit c) 0 all_categories
-let disable_all t = t.mask <- 0
 let on t cat = t.mask land bit cat <> 0
 
 let record t ~time ev =

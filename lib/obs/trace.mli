@@ -25,8 +25,6 @@ val category_of_string : string -> category option
 
 type drop_reason = Queue_full | Loss_model | Aqm
 
-val drop_reason_to_string : drop_reason -> string
-
 type event =
   | Enqueue of { link : string; flow : int; size : int }
   | Drop of { link : string; flow : int; reason : drop_reason }
@@ -46,8 +44,6 @@ type event =
       (** escape hatch for one-off debugging; still typed enough to
           filter by flow *)
 
-val category_of_event : event -> category
-
 type t
 
 val create : ?capacity:int -> unit -> t
@@ -57,8 +53,6 @@ val create : ?capacity:int -> unit -> t
 val enable : t -> category -> unit
 val disable : t -> category -> unit
 val enable_all : t -> unit
-val disable_all : t -> unit
-
 val on : t -> category -> bool
 (** Cheap mask probe; guard event construction with this on hot
     paths. *)
@@ -85,7 +79,6 @@ val append : into:t -> t -> unit
 val clear : t -> unit
 (** Empty the ring; the mask is left as-is. *)
 
-val pp_event : Format.formatter -> event -> unit
 val dump : Format.formatter -> t -> unit
 val json_of_event : time:int -> event -> Json.t
 val to_json : t -> Json.t

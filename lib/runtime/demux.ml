@@ -40,7 +40,6 @@ let create ?(policy = Flow_table.Lru) ?(on_evict = fun _ _ -> ())
     degraded_quacks = Obs.Metrics.counter metrics (field "degraded_quacks");
   }
 
-let label t = t.label
 let table t = t.table
 
 let data t ~flow ~make ~tracked ~degraded =

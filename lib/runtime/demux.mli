@@ -34,8 +34,6 @@ val create :
     tears state down mid-stream, removal follows a clean completion;
     the distinction is {!Flow_table}'s. *)
 
-val label : 'a t -> string
-
 val table : 'a t -> 'a Flow_table.t
 (** The underlying table, for callers that need direct iteration or
     statistics beyond the accessors below. *)

@@ -31,4 +31,3 @@ let on_quack t ~acked_pkts ~lost_indices =
     else t.win <- t.win + max 1 (acked_pkts * t.wire * t.wire / t.win)
 
 let window t = t.win
-let forwarded t = t.forwarded

@@ -27,5 +27,3 @@ val on_quack : t -> acked_pkts:int -> lost_indices:int list -> unit
 val window : t -> int
 (** Current window, bytes. *)
 
-val forwarded : t -> int
-(** Packets sent downstream so far (the next index to be allocated). *)

@@ -25,10 +25,6 @@ type Netsim.Packet.payload +=
 val encapsulation : int
 (** UDP + IPv4 header bytes every sidecar frame pays (28). *)
 
-val quack_wire_size : Sidecar_quack.Quack.t -> count_omitted:bool -> int
-(** Bytes on the wire for a quACK packet: packed quACK + sidecar frame
-    header + UDP/IP encapsulation (28 bytes). *)
-
 val quack_packet :
   ?src:string ->
   quack:Sidecar_quack.Quack.t ->

@@ -43,7 +43,6 @@ let xor_into b off src =
    payload ciphertext (or the tag for empty payloads). *)
 let pn_mask key ~sample = String.sub (Sha256.digest_string (key ^ sample)) 0 4
 
-let payload_offset = header_len
 
 (* 16 bytes starting right after the header; every packet has at
    least the tag there *)

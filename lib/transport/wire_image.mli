@@ -54,10 +54,6 @@ val open_in_place :
     buffer is rebuilt. On [Error `Bad_tag] the buffer is restored
     bit-for-bit; on [Error `Too_short] it was never touched. *)
 
-val payload_offset : int
-(** Byte offset of the (sealed or, after {!open_in_place}, cleartext)
-    payload within the wire — the header length. *)
-
 val extract_id : string -> bits:int -> int
 (** What the sidecar does: read [bits] pseudo-random bits from the
     protected region of the header. Requires no key. @raise
