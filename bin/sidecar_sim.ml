@@ -417,12 +417,7 @@ let run_scenario_family ~family ~overrides ~json ~pool_jobs =
            (List.map (fun (module F : Families.FAMILY) -> F.name) Families.all));
       exit 2
   | Some (module F) ->
-      let arms =
-        try F.arms overrides
-        with Invalid_argument msg ->
-          Format.eprintf "%s@." msg;
-          exit 2
-      in
+      let arms = F.arms overrides in
       let reports =
         Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> F.run c) arms
       in
@@ -437,11 +432,21 @@ let run_scenario_family ~family ~overrides ~json ~pool_jobs =
                     reports) );
            ])
 
+(* A config the library rejects ([Invalid_argument]: no flows, bad unit
+   bounds, a family override out of range) is a usage error like any
+   other bad flag value: its message, then exit 2. *)
+let or_usage_error f =
+  try f ()
+  with Invalid_argument msg ->
+    Format.eprintf "%s@." msg;
+    exit 2
+
 let runtime_cmd =
   let run protocol flows table eviction idle_ms seed far_loss per_flow
       datapath field bits json trace replications jobs shards partitions
       arrivals idle_epochs quack_every scenario migrate_after ctrl_delay crowd
       split attack_rate =
+    or_usage_error @@ fun () ->
     match scenario with
     | Some family ->
         let pool_jobs =
